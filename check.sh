@@ -11,6 +11,10 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== benchmark harness build + vet (perfbench/ is its own module) =="
+go build -C perfbench -o /dev/null ./...
+go vet -C perfbench ./...
+
 echo "== gofmt =="
 unformatted="$(gofmt -l .)"
 if [ -n "$unformatted" ]; then

@@ -18,6 +18,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"emtrust/internal/aes"
 	"emtrust/internal/chip"
 	"emtrust/internal/dsp"
 	"emtrust/internal/trojan"
@@ -96,8 +97,13 @@ func run(cycles int, trojanID int, a2, idle, spectrum bool, outDir string, seed 
 	if idle {
 		cap, err = c.CaptureIdle(cycles)
 	} else {
+		if cycles < aes.Latency+3 {
+			return fmt.Errorf("emsim: capture of %d cycles cannot contain an encryption (need >= %d)", cycles, aes.Latency+3)
+		}
 		key := []byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c}
-		cap, err = c.Capture(key, cycles)
+		pt := make([]byte, 16)
+		c.Rand().Read(pt)
+		cap, err = c.CapturePT(pt, key, cycles)
 	}
 	if err != nil {
 		return err

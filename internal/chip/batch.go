@@ -56,28 +56,22 @@ var captureSeq atomic.Uint64
 
 func nextCaptureSeq() uint64 { return captureSeq.Add(1) }
 
-// batchGroup is one deduplicated (pre-state, plaintext) capture lane
-// and the input indices that collapse onto it.
+// batchGroup is one deduplicated (pre-state, stimulus) capture lane and
+// the input indices that collapse onto it.
 type batchGroup struct {
 	snap  *Snapshot
 	hash  uint64
-	pt    [16]byte
+	stim  stimulus
 	ck    captureKey
 	idx   []int
 	entry *captureEntry
 }
 
-// CaptureBatch fans up to 64 plaintext lanes from the chip's current
-// state through one wide simulation: lane i encrypts pts[i] under key.
-// It returns one *Capture per lane without advancing the chip's state.
-func (c *Chip) CaptureBatch(pts [][]byte, key []byte, cycles int) ([]*Capture, error) {
-	return c.CaptureBatchFrom(nil, pts, key, cycles)
-}
-
-// CaptureBatchFrom is CaptureBatch with per-lane starting states: lane
-// i restores snaps[i] (taken on this chip or one sharing its design)
-// before encrypting pts[i]. A nil snaps broadcasts the chip's current
-// state to every lane. The cache may retain references to the
+// CaptureBatchFrom fans encryption lanes through the wide engine: lane i
+// restores snaps[i] (taken on this chip or one sharing its design) and
+// encrypts pts[i] under key. A nil snaps broadcasts the chip's current
+// state to every lane. It returns one *Capture per lane without
+// advancing the chip's state. The cache may retain references to the
 // snapshots' states, which Snapshot already promises are immutable.
 func (c *Chip) CaptureBatchFrom(snaps []*Snapshot, pts [][]byte, key []byte, cycles int) ([]*Capture, error) {
 	if len(pts) == 0 {
@@ -86,30 +80,19 @@ func (c *Chip) CaptureBatchFrom(snaps []*Snapshot, pts [][]byte, key []byte, cyc
 	if len(key) != 16 {
 		return nil, fmt.Errorf("chip: need 16-byte key")
 	}
-	ptA := make([][16]byte, len(pts))
+	stims := make([]stimulus, len(pts))
 	for i, pt := range pts {
-		if len(pt) != 16 {
+		s, err := encryption(pt, key)
+		if err != nil {
 			return nil, fmt.Errorf("chip: lane %d: need 16-byte pt", i)
 		}
-		copy(ptA[i][:], pt)
+		stims[i] = s
 	}
 	snaps, err := c.batchSnaps(snaps, len(pts))
 	if err != nil {
 		return nil, err
 	}
-	return c.captureBatch(snaps, ptA, key, cycles, false)
-}
-
-// CaptureIdleBatch runs one idle (no encryption) capture lane per
-// snapshot through the wide engine, without advancing the chip's state.
-func (c *Chip) CaptureIdleBatch(snaps []*Snapshot, cycles int) ([]*Capture, error) {
-	if len(snaps) == 0 {
-		return nil, nil
-	}
-	if len(snaps) > logic.MaxLanes*1024 {
-		return nil, fmt.Errorf("chip: idle batch of %d lanes", len(snaps))
-	}
-	return c.captureBatch(snaps, make([][16]byte, len(snaps)), nil, cycles, true)
+	return c.captureBatch(snaps, stims, cycles)
 }
 
 // batchSnaps normalizes the snapshot list: nil broadcasts the current
@@ -137,9 +120,11 @@ func (c *Chip) batchSnaps(snaps []*Snapshot, n int) ([]*Snapshot, error) {
 // captureBatch deduplicates the lanes, replays cached groups, simulates
 // the rest in wide chunks (or scalar captures when the chip runs the
 // reference engine), and maps group results back onto the input order.
-func (c *Chip) captureBatch(snaps []*Snapshot, pts [][16]byte, key []byte, cycles int, idle bool) ([]*Capture, error) {
-	var keyA [16]byte
-	copy(keyA[:], key)
+// Every lane's stimulus is an encryption under the same key.
+func (c *Chip) captureBatch(snaps []*Snapshot, stims []stimulus, cycles int) ([]*Capture, error) {
+	if err := stims[0].checkWindow(cycles); err != nil {
+		return nil, err
+	}
 	hashes := make(map[*Snapshot]uint64)
 	var groups []*batchGroup
 	var misses []*batchGroup
@@ -151,7 +136,7 @@ func (c *Chip) captureBatch(snaps []*Snapshot, pts [][16]byte, key []byte, cycle
 		}
 		var g *batchGroup
 		for _, have := range groups {
-			if have.pt != pts[i] {
+			if have.stim != stims[i] {
 				continue
 			}
 			if have.snap == s || (have.hash == h && have.snap.a2Enabled == s.a2Enabled &&
@@ -162,8 +147,8 @@ func (c *Chip) captureBatch(snaps []*Snapshot, pts [][16]byte, key []byte, cycle
 		}
 		if g == nil {
 			g = &batchGroup{
-				snap: s, hash: h, pt: pts[i],
-				ck: c.captureCacheKey(pts[i], keyA, cycles, idle, s.a2, s.a2Enabled, h),
+				snap: s, hash: h, stim: stims[i],
+				ck: c.captureCacheKey(stims[i], cycles, s.a2, s.a2Enabled, h),
 			}
 			g.entry = lookupCapture(g.ck, s.sim)
 			groups = append(groups, g)
@@ -181,11 +166,11 @@ func (c *Chip) captureBatch(snaps []*Snapshot, pts [][16]byte, key []byte, cycle
 				if hi > len(misses) {
 					hi = len(misses)
 				}
-				if err := c.runWide(misses[lo:hi], key, cycles, idle); err != nil {
+				if err := c.runWide(misses[lo:hi], cycles); err != nil {
 					return nil, err
 				}
 			}
-		} else if err := c.runScalarBatch(misses, key, cycles, idle); err != nil {
+		} else if err := c.runScalarBatch(misses, cycles); err != nil {
 			return nil, err
 		}
 	}
@@ -227,12 +212,12 @@ func (c *Chip) ensureWide(lanes int) error {
 
 // runWide simulates up to MaxLanes miss groups as lanes of one wide
 // capture, stores each lane's result in the capture cache and fills the
-// groups' entries. The capture sequence mirrors CapturePT/CaptureIdle
-// exactly: idle lead-in tick, per-lane plaintext with broadcast key and
+// groups' entries. The cycle sequence mirrors the scalar capture
+// exactly — idle lead-in tick, per-lane plaintext with broadcast key and
 // start pulse, load edge, then the remaining cycles — with the T2
 // crowbar and A2 charge-pump hooks applied per lane from the lane's net
 // word each cycle.
-func (c *Chip) runWide(groups []*batchGroup, key []byte, cycles int, idle bool) error {
+func (c *Chip) runWide(groups []*batchGroup, cycles int) error {
 	lanes := len(groups)
 	if err := c.ensureWide(lanes); err != nil {
 		return err
@@ -304,41 +289,33 @@ func (c *Chip) runWide(groups []*batchGroup, key []byte, cycles int, idle bool) 
 		return nil
 	}
 
-	if idle {
-		for i := 0; i < cycles; i++ {
-			if err := tick(); err != nil {
-				return err
-			}
-		}
-	} else {
-		if err := tick(); err != nil { // cycle 0: idle lead-in
+	if err := tick(); err != nil { // cycle 0: idle lead-in
+		return err
+	}
+	laneBits := make([][]uint8, lanes)
+	for l, g := range groups {
+		laneBits[l] = aes.BytesToBits(g.stim.pt[:])
+	}
+	if err := w.SetPortLanesBits(aes.PortPT, laneBits); err != nil {
+		return err
+	}
+	if err := w.SetPortBitsAll(aes.PortKey, aes.BytesToBits(groups[0].stim.key[:])); err != nil {
+		return err
+	}
+	if err := w.SetPortUintAll(aes.PortStart, 1); err != nil {
+		return err
+	}
+	w.Settle()
+	if err := tick(); err != nil { // load edge
+		return err
+	}
+	if err := w.SetPortUintAll(aes.PortStart, 0); err != nil {
+		return err
+	}
+	w.Settle()
+	for i := 2; i < cycles; i++ {
+		if err := tick(); err != nil {
 			return err
-		}
-		laneBits := make([][]uint8, lanes)
-		for l, g := range groups {
-			laneBits[l] = aes.BytesToBits(g.pt[:])
-		}
-		if err := w.SetPortLanesBits(aes.PortPT, laneBits); err != nil {
-			return err
-		}
-		if err := w.SetPortBitsAll(aes.PortKey, aes.BytesToBits(key)); err != nil {
-			return err
-		}
-		if err := w.SetPortUintAll(aes.PortStart, 1); err != nil {
-			return err
-		}
-		w.Settle()
-		if err := tick(); err != nil { // load edge
-			return err
-		}
-		if err := w.SetPortUintAll(aes.PortStart, 0); err != nil {
-			return err
-		}
-		w.Settle()
-		for i := 2; i < cycles; i++ {
-			if err := tick(); err != nil {
-				return err
-			}
 		}
 	}
 
@@ -369,154 +346,99 @@ func (c *Chip) runWide(groups []*batchGroup, key []byte, cycles int, idle bool) 
 // layer's semantic ground truth, which the batch tests pin the wide
 // path against): each miss group restores its snapshot and runs a plain
 // scalar capture, after which the chip is rewound to where it was.
-func (c *Chip) runScalarBatch(groups []*batchGroup, key []byte, cycles int, idle bool) error {
+func (c *Chip) runScalarBatch(groups []*batchGroup, cycles int) error {
 	save := c.Snapshot()
 	defer c.Restore(save)
 	for _, g := range groups {
 		c.Restore(g.snap)
-		var cap *Capture
-		var err error
-		if idle {
-			cap, err = c.CaptureIdle(cycles)
-		} else {
-			cap, err = c.CapturePT(g.pt[:], key, cycles)
-		}
+		cap, err := c.capture(g.stim, cycles)
 		if err != nil {
 			return err
 		}
-		post := c.sim.State()
-		var postA2 analog.A2
-		if c.a2 != nil {
-			postA2 = *c.a2
-		}
-		e := &captureEntry{
-			pre:  g.snap.sim,
-			cap:  &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: nextCaptureSeq()},
-			post: post, postA2: postA2, postHash: post.ValueHash(),
-		}
-		g.entry = storeCapture(g.ck, e)
+		g.entry = c.storeScalar(g.ck, g.snap.sim, cap)
 	}
 	return nil
 }
 
-// CaptureChain runs count consecutive fixed-stimulus captures — the
-// serial state-evolution chain of a fixed-plaintext capture set, where
-// capture j starts from capture j-1's post state — and returns them in
-// order, advancing the chip by exactly count captures. Each step is
-// replayed from the capture cache when this exact (state, stimulus)
-// capture has run before (a dormant chip's fixed point collapses the
-// whole chain to one simulation; an active Trojan's orbit replays after
-// its first traversal), and simulated scalar otherwise. Waveforms and
-// the chip's state trajectory are bit-identical to count serial
-// CapturePT calls. Chain captures carry no Tiles.
-func (c *Chip) CaptureChain(pt, key []byte, cycles, count int) ([]*Capture, error) {
-	if len(pt) != 16 || len(key) != 16 {
-		return nil, fmt.Errorf("chip: need 16-byte pt and key")
-	}
-	var ptA, keyA [16]byte
-	copy(ptA[:], pt)
-	copy(keyA[:], key)
-	caps := make([]*Capture, count)
-	var hash uint64
-	hashValid := false
-	for j := range caps {
-		pre := c.sim.State()
-		if !hashValid {
-			hash = pre.ValueHash()
-		}
-		var a2v analog.A2
-		if c.a2 != nil {
-			a2v = *c.a2
-		}
-		ck := c.captureCacheKey(ptA, keyA, cycles, false, a2v, c.a2Enabled, hash)
-		if e := lookupCapture(ck, pre); e != nil {
-			cyc := c.sim.Cycle()
-			c.sim.SetState(e.post)
-			c.sim.SetCycle(cyc + cycles)
-			if c.a2 != nil {
-				*c.a2 = e.postA2
-			}
-			caps[j] = e.cap
-			hash, hashValid = e.postHash, true
-			continue
-		}
-		cap, err := c.CapturePT(pt, key, cycles)
-		if err != nil {
-			return nil, err
-		}
-		post := c.sim.State()
-		var postA2 analog.A2
-		if c.a2 != nil {
-			postA2 = *c.a2
-		}
-		e := storeCapture(ck, &captureEntry{
-			pre:  pre,
-			cap:  &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: nextCaptureSeq()},
-			post: post, postA2: postA2, postHash: post.ValueHash(),
-		})
-		caps[j] = e.cap
-		hash, hashValid = e.postHash, true
-	}
-	return caps, nil
+// storeScalar records the scalar capture that just moved the chip from
+// pre to its current state in the capture cache under ck, and returns
+// the resident entry.
+func (c *Chip) storeScalar(ck captureKey, pre *logic.State, cap *Capture) *captureEntry {
+	post := c.sim.State()
+	postA2, _ := c.a2State()
+	return storeCapture(ck, &captureEntry{
+		pre:  pre,
+		cap:  &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: nextCaptureSeq()},
+		post: post, postA2: postA2, postHash: post.ValueHash(),
+	})
 }
 
-// CaptureIdleChain is CaptureChain for idle (no-encryption) captures:
-// count consecutive CaptureIdle calls run as one serial chain through
-// the process-wide capture cache. A dormant chip's idle fixed point
-// collapses the whole chain to at most one simulation — on a fresh chip
-// of an already-seen configuration, to none at all, since the chip
-// build cache makes identical chips start from the identical state the
-// cache has already recorded. An armed A2 whose charge pump is still
-// integrating genuinely changes state every capture, so each step along
-// that orbit simulates once process-wide and replays forever after.
-// Waveforms, the simulator state trajectory, and the analog Trojan
-// state are bit-identical to count serial CaptureIdle calls. Chain
-// captures carry no Tiles. A count <= 0 is clamped to a nil chain.
+// CaptureChain runs count consecutive CapturePT calls of one plaintext —
+// the serial state-evolution chain of a fixed-plaintext capture set,
+// where capture j starts from capture j-1's post state — and returns
+// them in order, advancing the chip by exactly count captures. See
+// chain for the replay rules. A count <= 0 is clamped to a nil chain.
+func (c *Chip) CaptureChain(pt, key []byte, cycles, count int) ([]*Capture, error) {
+	s, err := encryption(pt, key)
+	if err != nil {
+		return nil, err
+	}
+	return c.chain(s, cycles, count)
+}
+
+// CaptureIdleChain is CaptureChain for idle (no-encryption) captures. A
+// dormant chip's idle fixed point collapses the whole chain to at most
+// one simulation — on a fresh chip of an already-seen configuration, to
+// none at all, since the chip build cache makes identical chips start
+// from the identical state the cache has already recorded. An armed A2
+// whose charge pump is still integrating genuinely changes state every
+// capture, so each step along that orbit simulates once process-wide
+// and replays forever after. A count <= 0 is clamped to a nil chain.
 func (c *Chip) CaptureIdleChain(cycles, count int) ([]*Capture, error) {
+	return c.chain(idleStimulus, cycles, count)
+}
+
+// chain runs count consecutive captures of s through the process-wide
+// capture cache. Each step is replayed from the cache when this exact
+// (state, stimulus) capture has run before (a dormant chip's fixed
+// point collapses the whole chain to one simulation; an active Trojan's
+// orbit replays after its first traversal), and simulated scalar
+// otherwise. Waveforms, the simulator state trajectory, the cycle
+// counter and the analog Trojan state are bit-identical to count serial
+// scalar captures. Chain captures carry no Tiles.
+func (c *Chip) chain(s stimulus, cycles, count int) ([]*Capture, error) {
 	if count <= 0 {
 		return nil, nil
 	}
+	if err := s.checkWindow(cycles); err != nil {
+		return nil, err
+	}
 	caps := make([]*Capture, count)
-	var zero [16]byte
 	var hash uint64
-	hashValid := false
 	for j := range caps {
 		pre := c.sim.State()
-		if !hashValid {
+		if j == 0 {
 			hash = pre.ValueHash()
 		}
-		var a2v analog.A2
-		if c.a2 != nil {
-			a2v = *c.a2
-		}
-		ck := c.captureCacheKey(zero, zero, cycles, true, a2v, c.a2Enabled, hash)
-		if e := lookupCapture(ck, pre); e != nil {
+		a2, a2On := c.a2State()
+		ck := c.captureCacheKey(s, cycles, a2, a2On, hash)
+		e := lookupCapture(ck, pre)
+		if e != nil {
 			cyc := c.sim.Cycle()
 			c.sim.SetState(e.post)
 			c.sim.SetCycle(cyc + cycles)
 			if c.a2 != nil {
 				*c.a2 = e.postA2
 			}
-			caps[j] = e.cap
-			hash, hashValid = e.postHash, true
-			continue
+		} else {
+			cap, err := c.capture(s, cycles)
+			if err != nil {
+				return nil, err
+			}
+			e = c.storeScalar(ck, pre, cap)
 		}
-		cap, err := c.CaptureIdle(cycles)
-		if err != nil {
-			return nil, err
-		}
-		post := c.sim.State()
-		var postA2 analog.A2
-		if c.a2 != nil {
-			postA2 = *c.a2
-		}
-		e := storeCapture(ck, &captureEntry{
-			pre:  pre,
-			cap:  &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: nextCaptureSeq()},
-			post: post, postA2: postA2, postHash: post.ValueHash(),
-		})
 		caps[j] = e.cap
-		hash, hashValid = e.postHash, true
+		hash = e.postHash
 	}
 	return caps, nil
 }

@@ -106,29 +106,6 @@ func TestCaptureBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestCaptureIdleBatchMatchesScalar does the same for idle captures.
-func TestCaptureIdleBatchMatchesScalar(t *testing.T) {
-	resetCaptureCache()
-	c := activeClone(t, trojan.T3CDMALeaker)
-	snaps := orbitSnapshots(t, c, make([]byte, 16), 6)
-	caps, err := c.CaptureIdleBatch(snaps, batchCycles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range snaps {
-		scalar.Restore(s)
-		want, err := scalar.CaptureIdle(batchCycles)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameWave(t, "idle lane", caps[i], want)
-	}
-}
-
 // TestCaptureBatchLaneCountInvariance pins the determinism contract:
 // the same batch split into 1-, 3- or 64-lane wide runs (partial final
 // chunks included) produces byte-identical captures.
@@ -193,11 +170,11 @@ func TestCaptureBatchReferenceFallback(t *testing.T) {
 		pt[7] = byte(i + 1)
 		pts[i] = pt
 	}
-	refCaps, err := ref.CaptureBatch(pts, testKey, batchCycles)
+	refCaps, err := ref.CaptureBatchFrom(nil, pts, testKey, batchCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmpCaps, err := cmp.CaptureBatch(pts, testKey, batchCycles)
+	cmpCaps, err := cmp.CaptureBatchFrom(nil, pts, testKey, batchCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +191,7 @@ func TestCaptureBatchDedup(t *testing.T) {
 	pt := make([]byte, 16)
 	other := make([]byte, 16)
 	other[0] = 0xff
-	caps, err := c.CaptureBatch([][]byte{pt, other, pt}, testKey, batchCycles)
+	caps, err := c.CaptureBatchFrom(nil, [][]byte{pt, other, pt}, testKey, batchCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +281,9 @@ func TestCaptureChainMatchesSerial(t *testing.T) {
 
 // TestFixedPointMemo pins the dormant-chip fast path: from the second
 // identical capture on, CapturePT and CaptureIdle return the same
-// stable *Capture while still advancing the cycle counter, and a
-// different stimulus breaks the memo.
+// stable *Capture while still advancing the cycle counter, a different
+// stimulus breaks the memo, and interleaved encryption and idle captures
+// each keep replaying their own memo (one slot per stimulus kind).
 func TestFixedPointMemo(t *testing.T) {
 	c, err := golden(t).Clone()
 	if err != nil {
@@ -337,7 +315,7 @@ func TestFixedPointMemo(t *testing.T) {
 	}
 	// A replay must match what a fresh simulation of the same capture
 	// produces: clear the memo and re-simulate.
-	c.memoPT = nil
+	c.memo[0] = nil // the encryption slot
 	fresh, err := c.CapturePT(pt, testKey, batchCycles)
 	if err != nil {
 		t.Fatal(err)
@@ -368,10 +346,39 @@ func TestFixedPointMemo(t *testing.T) {
 	if i2 != i3 {
 		t.Fatal("repeated idle captures returned distinct objects")
 	}
-	c.memoIdle = nil
+	c.memo[1] = nil // the idle slot
 	freshIdle, err := c.CaptureIdle(batchCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameWave(t, "idle memo vs fresh", freshIdle, i2)
+
+	// Interleaved dormant sequence. The encryption memo (fresh, taken at
+	// pt's fixed point) survived the idle captures above; one more pt
+	// capture returns the chip to that fixed point and one idle capture
+	// memoizes idling there. From then on PT, idle, PT, idle must each
+	// replay their own kind's capture.
+	if _, err := c.CapturePT(pt, testKey, batchCycles); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CaptureIdle(batchCycles); err != nil {
+		t.Fatal(err)
+	}
+	var got [4]*Capture
+	for i := range got {
+		if i%2 == 0 {
+			got[i], err = c.CapturePT(pt, testKey, batchCycles)
+		} else {
+			got[i], err = c.CaptureIdle(batchCycles)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got[0] != fresh || got[2] != fresh {
+		t.Fatal("an idle capture evicted the encryption memo")
+	}
+	if got[1] != got[3] || got[1] == got[0] {
+		t.Fatal("interleaved idle captures did not replay the idle memo")
+	}
 }

@@ -112,10 +112,8 @@ func storeBuild(key buildKey, b *built) {
 type captureKey struct {
 	n       *netlist.Netlist
 	cfg     Config
-	pt      [16]byte
-	key     [16]byte
+	stim    stimulus
 	cycles  int
-	idle    bool
 	a2      analog.A2
 	a2On    bool
 	simHash uint64
@@ -193,10 +191,9 @@ func ResetCaptureCache() {
 // captureCacheKey assembles the cache key for a capture from this
 // chip's current identity and the given stimulus. simHash must be the
 // ValueHash of the pre-state being keyed.
-func (c *Chip) captureCacheKey(pt, key [16]byte, cycles int, idle bool, a2 analog.A2, a2On bool, simHash uint64) captureKey {
+func (c *Chip) captureCacheKey(s stimulus, cycles int, a2 analog.A2, a2On bool, simHash uint64) captureKey {
 	return captureKey{
-		n: c.n, cfg: c.cfg,
-		pt: pt, key: key, cycles: cycles, idle: idle,
+		n: c.n, cfg: c.cfg, stim: s, cycles: cycles,
 		a2: a2, a2On: a2On, simHash: simHash,
 	}
 }

@@ -149,29 +149,76 @@ type Chip struct {
 	a2s  []analog.A2
 	a2on []bool
 
-	// Fixed-point capture memos: when a capture leaves the chip exactly
-	// where it started (a dormant chip under fixed stimulus), the next
-	// identical capture replays the memo instead of simulating.
-	memoPT   *captureMemo
-	memoIdle *captureMemo
+	// Fixed-point capture memos, one slot per stimulus kind (indexed by
+	// stimulus.slot) so an idle capture does not evict the encryption
+	// memo: when a capture leaves the chip exactly where it started (a
+	// dormant chip under fixed stimulus), the next identical capture
+	// replays the memo instead of simulating.
+	memo [2]*captureMemo
+}
+
+// stimulus is what one capture window applies to the chip: one AES
+// encryption of pt under key, loaded on the cycle-1 clock edge, or
+// (idle) no encryption at all — the Section V-A noise measurement, where
+// only the clock tree and any active Trojans draw current. An idle
+// stimulus carries zero pt and key, so equal stimuli compare equal.
+type stimulus struct {
+	pt, key [16]byte
+	idle    bool
+}
+
+// idleStimulus is the no-encryption stimulus.
+var idleStimulus = stimulus{idle: true}
+
+// encryption builds the stimulus of one encryption of pt under key.
+func encryption(pt, key []byte) (stimulus, error) {
+	var s stimulus
+	if len(pt) != 16 || len(key) != 16 {
+		return s, fmt.Errorf("chip: need 16-byte pt and key")
+	}
+	copy(s.pt[:], pt)
+	copy(s.key[:], key)
+	return s, nil
+}
+
+// checkWindow rejects a capture window too short for the stimulus: an
+// idle capture needs at least one cycle, an encryption two (the idle
+// lead-in and the load edge).
+func (s stimulus) checkWindow(cycles int) error {
+	need := 2
+	if s.idle {
+		need = 1
+	}
+	if cycles < need {
+		return fmt.Errorf("chip: capture window of %d cycles (need >= %d)", cycles, need)
+	}
+	return nil
+}
+
+// slot is the stimulus kind's index into Chip.memo.
+func (s stimulus) slot() int {
+	if s.idle {
+		return 1
+	}
+	return 0
 }
 
 // captureMemo is one memoized fixed-point capture: the pre-state it
 // applies to (which, being a fixed point, is also its post-state), the
 // stimulus, and the stable result with deep-copied Tiles.
 type captureMemo struct {
-	pre     *logic.State
-	a2      analog.A2
-	a2On    bool
-	pt, key [16]byte
-	cycles  int
-	cap     *Capture
+	pre    *logic.State
+	a2     analog.A2
+	a2On   bool
+	stim   stimulus
+	cycles int
+	cap    *Capture
 }
 
 // matches reports whether the chip currently sits exactly on the memo's
-// fixed point with the same analog-Trojan state.
-func (m *captureMemo) matches(c *Chip, cycles int) bool {
-	if m == nil || m.cycles != cycles || m.a2On != c.a2Enabled {
+// fixed point with the same analog-Trojan state and stimulus.
+func (m *captureMemo) matches(c *Chip, s stimulus, cycles int) bool {
+	if m == nil || m.stim != s || m.cycles != cycles || m.a2On != c.a2Enabled {
 		return false
 	}
 	if c.a2 != nil && *c.a2 != m.a2 {
@@ -416,8 +463,7 @@ func (c *Chip) resetPrivate() {
 	c.recs = nil
 	c.a2s = nil
 	c.a2on = nil
-	c.memoPT = nil
-	c.memoIdle = nil
+	c.memo = [2]*captureMemo{}
 }
 
 // SetTrojan switches a digital Trojan's external trigger and advances one
@@ -455,9 +501,14 @@ func (c *Chip) SetPort(name string, on bool) error {
 	return nil
 }
 
-// DeactivateAll clears every digital Trojan trigger.
+// DeactivateAll clears every digital Trojan trigger, one cycle per
+// Trojan in trojan.Kinds order, so the resulting state does not depend
+// on map iteration order when a Trojan was active.
 func (c *Chip) DeactivateAll() error {
-	for k := range c.trojans {
+	for _, k := range trojan.Kinds() {
+		if _, ok := c.trojans[k]; !ok {
+			continue
+		}
 		if err := c.SetTrojan(k, false); err != nil {
 			return err
 		}
@@ -474,21 +525,10 @@ func (c *Chip) EnableA2(on bool) {
 	c.a2Enabled = on
 }
 
-// Capture runs one trace capture of the given number of clock cycles.
-// The workload is one AES encryption of a random plaintext under the
-// given key, started at cycle 2; Trojan and analog activity continue for
-// the whole window. It returns the clean (noise-free) sensor and probe
-// waveforms.
-func (c *Chip) Capture(key []byte, cycles int) (*Capture, error) {
-	if cycles < aes.Latency+3 {
-		return nil, fmt.Errorf("chip: capture of %d cycles cannot contain an encryption (need >= %d)", cycles, aes.Latency+3)
-	}
-	pt := make([]byte, 16)
-	c.rng.Read(pt)
-	return c.CapturePT(pt, key, cycles)
-}
-
-// CapturePT is Capture with a caller-chosen plaintext.
+// CapturePT runs one trace capture of the given number of clock cycles
+// (at least 2). The workload is one AES encryption of pt under key,
+// loaded on the cycle-1 clock edge; Trojan and analog activity continue
+// for the whole window. It returns the clean (noise-free) sensor and probe waveforms.
 //
 // Fixed-point fast path: when the chip is dormant (no active Trojan
 // state machine evolving), a fixed-stimulus capture returns the chip to
@@ -498,86 +538,51 @@ func (c *Chip) Capture(key []byte, cycles int) (*Capture, error) {
 // exact state equality, so an active Trojan — whose state genuinely
 // evolves — never hits it.
 func (c *Chip) CapturePT(pt, key []byte, cycles int) (*Capture, error) {
-	if len(pt) != 16 || len(key) != 16 {
-		return nil, fmt.Errorf("chip: need 16-byte pt and key")
+	s, err := encryption(pt, key)
+	if err != nil {
+		return nil, err
 	}
-	if m := c.memoPT; m.matches(c, cycles) &&
-		string(pt) == string(m.pt[:]) && string(key) == string(m.key[:]) {
+	return c.capture(s, cycles)
+}
+
+// CaptureIdle runs a capture of at least one cycle with no encryption:
+// the Section V-A noise measurement ("the chip is powered up without
+// executing the encryption"). It shares CapturePT's fixed-point memo.
+func (c *Chip) CaptureIdle(cycles int) (*Capture, error) {
+	return c.capture(idleStimulus, cycles)
+}
+
+// capture is the one scalar capture path: window check, fixed-point
+// memo replay, the simulated window, and the memo store.
+func (c *Chip) capture(s stimulus, cycles int) (*Capture, error) {
+	if err := s.checkWindow(cycles); err != nil {
+		return nil, err
+	}
+	slot := &c.memo[s.slot()]
+	if m := *slot; m.matches(c, s, cycles) {
 		c.sim.SetCycle(c.sim.Cycle() + cycles)
 		return m.cap, nil
 	}
 	pre := c.sim.State()
 	preA2, preOn := c.a2State()
-	s := c.sim
 	c.rec.Begin(cycles)
 	// Batched toggle accounting: the engine accumulates toggle events per
 	// cycle and tick() drains them into the recorder in occurrence order,
 	// keeping rec.Currents() bit-identical to per-callback recording.
-	s.BatchToggles(true)
-	defer s.BatchToggles(false)
-
-	// Cycle 0: idle lead-in.
-	if err := c.tick(); err != nil {
-		return nil, err
-	}
-	// Set up the encryption; the input settle happens inside the cycle.
-	if err := s.SetPortBits(aes.PortPT, aes.BytesToBits(pt)); err != nil {
-		return nil, err
-	}
-	if err := s.SetPortBits(aes.PortKey, aes.BytesToBits(key)); err != nil {
-		return nil, err
-	}
-	if err := s.SetPortUint(aes.PortStart, 1); err != nil {
-		return nil, err
-	}
-	s.Settle()
-	if err := c.tick(); err != nil { // load edge
-		return nil, err
-	}
-	if err := s.SetPortUint(aes.PortStart, 0); err != nil {
-		return nil, err
-	}
-	s.Settle()
-	for i := 2; i < cycles; i++ {
-		if err := c.tick(); err != nil {
-			return nil, err
-		}
-	}
-	currents := c.rec.Currents()
-	dt := c.rec.Dt()
-	cap := &Capture{
-		Sensor: c.sensor.EMF(currents, dt),
-		Probe:  c.probe.EMF(currents, dt),
-		Dt:     dt,
-		Tiles:  currents,
-		seq:    nextCaptureSeq(),
-	}
-	if m := c.tryMemo(pre, preA2, preOn, cycles, cap); m != nil {
-		copy(m.pt[:], pt)
-		copy(m.key[:], key)
-		c.memoPT = m
-		return m.cap, nil
-	}
-	return cap, nil
-}
-
-// CaptureIdle runs a capture with no encryption: the Section V-A noise
-// measurement ("the chip is powered up without executing the
-// encryption"). Only the clock tree and any active Trojans draw current.
-func (c *Chip) CaptureIdle(cycles int) (*Capture, error) {
-	if m := c.memoIdle; m.matches(c, cycles) {
-		c.sim.SetCycle(c.sim.Cycle() + cycles)
-		return m.cap, nil
-	}
-	pre := c.sim.State()
-	preA2, preOn := c.a2State()
-	c.rec.Begin(cycles)
 	c.sim.BatchToggles(true)
 	defer c.sim.BatchToggles(false)
 	for i := 0; i < cycles; i++ {
 		if err := c.tick(); err != nil {
 			return nil, err
 		}
+		// An encryption loads after the idle lead-in (cycle 0) and holds
+		// start high across the load edge (cycle 1) only; the input
+		// settle happens inside the cycle.
+		if !s.idle && i < 2 {
+			if err := c.strobe(s, i == 0); err != nil {
+				return nil, err
+			}
+		}
 	}
 	currents := c.rec.Currents()
 	dt := c.rec.Dt()
@@ -588,11 +593,31 @@ func (c *Chip) CaptureIdle(cycles int) (*Capture, error) {
 		Tiles:  currents,
 		seq:    nextCaptureSeq(),
 	}
-	if m := c.tryMemo(pre, preA2, preOn, cycles, cap); m != nil {
-		c.memoIdle = m
+	if m := c.tryMemo(pre, preA2, preOn, s, cycles, cap); m != nil {
+		*slot = m
 		return m.cap, nil
 	}
 	return cap, nil
+}
+
+// strobe drives the encryption inputs and raises start before the load
+// edge (load), or drops start after it, then settles.
+func (c *Chip) strobe(s stimulus, load bool) error {
+	start := uint64(0)
+	if load {
+		if err := c.sim.SetPortBits(aes.PortPT, aes.BytesToBits(s.pt[:])); err != nil {
+			return err
+		}
+		if err := c.sim.SetPortBits(aes.PortKey, aes.BytesToBits(s.key[:])); err != nil {
+			return err
+		}
+		start = 1
+	}
+	if err := c.sim.SetPortUint(aes.PortStart, start); err != nil {
+		return err
+	}
+	c.sim.Settle()
+	return nil
 }
 
 // a2State copies the analog Trojan's current state and armed flag.
@@ -608,7 +633,7 @@ func (c *Chip) a2State() (analog.A2, bool) {
 // left the chip exactly where it started. The memoized capture deep-
 // copies Tiles (the live capture's alias the recorder's reusable
 // buffers) so the memo stays valid across later captures.
-func (c *Chip) tryMemo(pre *logic.State, preA2 analog.A2, preOn bool, cycles int, cap *Capture) *captureMemo {
+func (c *Chip) tryMemo(pre *logic.State, preA2 analog.A2, preOn bool, s stimulus, cycles int, cap *Capture) *captureMemo {
 	if preOn != c.a2Enabled {
 		return nil
 	}
@@ -623,7 +648,7 @@ func (c *Chip) tryMemo(pre *logic.State, preA2 analog.A2, preOn bool, cycles int
 		tiles[i] = append([]float64(nil), row...)
 	}
 	stable := &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, Tiles: tiles, seq: cap.seq}
-	return &captureMemo{pre: pre, a2: preA2, a2On: preOn, cycles: cycles, cap: stable}
+	return &captureMemo{pre: pre, a2: preA2, a2On: preOn, stim: s, cycles: cycles, cap: stable}
 }
 
 // tick advances one clock cycle inside a capture: gate-level simulation,

@@ -2,6 +2,8 @@ package chip
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"strings"
 	"sync"
 	"testing"
@@ -55,6 +57,14 @@ func golden(t testing.TB) *Chip {
 }
 
 var testKey = []byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c}
+
+// captureRandom encrypts a plaintext drawn from the chip's shared
+// stream under key.
+func captureRandom(c *Chip, key []byte, cycles int) (*Capture, error) {
+	pt := make([]byte, 16)
+	c.Rand().Read(pt)
+	return c.CapturePT(pt, key, cycles)
+}
 
 func TestGoldenChipHasNoTrojans(t *testing.T) {
 	c := golden(t)
@@ -111,7 +121,7 @@ func TestCaptureEncryptsCorrectly(t *testing.T) {
 
 func TestCaptureShapes(t *testing.T) {
 	c := golden(t)
-	cap, err := c.Capture(testKey, 24)
+	cap, err := captureRandom(c, testKey, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +135,17 @@ func TestCaptureShapes(t *testing.T) {
 	if dsp.RMS(cap.Sensor) == 0 || dsp.RMS(cap.Probe) == 0 {
 		t.Fatal("silent capture")
 	}
-	if _, err := c.Capture(testKey, 5); err == nil {
-		t.Fatal("too-short capture must error")
+	// Windows too short for the stimulus: an encryption needs 2 cycles,
+	// an idle capture 1.
+	for _, cycles := range []int{1, 0, -5} {
+		if _, err := c.CapturePT(make([]byte, 16), testKey, cycles); err == nil {
+			t.Fatalf("%d-cycle encryption must error", cycles)
+		}
+	}
+	for _, cycles := range []int{0, -1} {
+		if _, err := c.CaptureIdle(cycles); err == nil {
+			t.Fatalf("%d-cycle idle capture must error", cycles)
+		}
 	}
 	if _, err := c.CapturePT(make([]byte, 3), testKey, 24); err == nil {
 		t.Fatal("short pt must error")
@@ -139,7 +158,7 @@ func TestIdleQuieterThanActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	active, err := c.Capture(testKey, 24)
+	active, err := captureRandom(c, testKey, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +172,7 @@ func TestTrojanActivationChangesEM(t *testing.T) {
 	if err := c.DeactivateAll(); err != nil {
 		t.Fatal(err)
 	}
-	base, err := c.Capture(testKey, 24)
+	base, err := captureRandom(c, testKey, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +181,7 @@ func TestTrojanActivationChangesEM(t *testing.T) {
 		if err := c.SetTrojan(k, true); err != nil {
 			t.Fatal(err)
 		}
-		cap, err := c.Capture(testKey, 24)
+		cap, err := captureRandom(c, testKey, 24)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,6 +194,52 @@ func TestTrojanActivationChangesEM(t *testing.T) {
 	}
 }
 
+// TestDeactivateAllOrderIndependent: clearing the triggers with a
+// Trojan active must leave every fresh chip in the same state, so the
+// captures after re-activation agree across chips. Ranging over the
+// Trojan map made the per-Trojan tick order, and hence the state,
+// depend on map iteration order.
+func TestDeactivateAllOrderIndependent(t *testing.T) {
+	pt := make([]byte, 16)
+	for _, k := range trojan.Kinds() {
+		hashes := map[uint64]bool{}
+		for i := 0; i < 20; i++ {
+			c, err := New(DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetTrojan(k, true); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 3; j++ {
+				if _, err := c.CapturePT(pt, testKey, batchCycles); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.DeactivateAll(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetTrojan(k, true); err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for j := 0; j < 3; j++ {
+				cap, err := c.CapturePT(pt, testKey, batchCycles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range cap.Sensor {
+					binary.Write(h, binary.LittleEndian, v)
+				}
+			}
+			hashes[h.Sum64()] = true
+		}
+		if len(hashes) != 1 {
+			t.Errorf("%v: %d distinct capture hashes across 20 fresh chips, want 1", k, len(hashes))
+		}
+	}
+}
+
 func TestSimulatedSNRGap(t *testing.T) {
 	c := golden(t)
 	ch := SimulationChannels()
@@ -183,7 +248,7 @@ func TestSimulatedSNRGap(t *testing.T) {
 	// signal record.
 	var signalS, signalP, noiseS, noiseP []float64
 	for i := 0; i < 6; i++ {
-		cap, err := c.Capture(testKey, 16)
+		cap, err := captureRandom(c, testKey, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +306,7 @@ func TestA2FiresDuringCapture(t *testing.T) {
 
 func TestAcquireChannels(t *testing.T) {
 	c := golden(t)
-	cap, err := c.Capture(testKey, 16)
+	cap, err := captureRandom(c, testKey, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

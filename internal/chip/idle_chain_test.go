@@ -128,8 +128,20 @@ func TestCaptureIdleChainDormant(t *testing.T) {
 		t.Fatal("dormant idle chain moved the chip differently than serial idles")
 	}
 
-	// Degenerate counts.
+	// Degenerate counts clamp to a nil chain; degenerate windows error.
 	if caps, err := c.CaptureIdleChain(batchCycles, 0); err != nil || caps != nil {
 		t.Fatalf("count 0 = (%v, %v), want (nil, nil)", caps, err)
+	}
+	pt := make([]byte, 16)
+	if caps, err := c.CaptureChain(pt, testKey, batchCycles, -1); err != nil || caps != nil {
+		t.Fatalf("chain count -1 = (%v, %v), want (nil, nil)", caps, err)
+	}
+	for _, cycles := range []int{0, -1} {
+		if _, err := c.CaptureIdleChain(cycles, 2); err == nil {
+			t.Fatalf("%d-cycle idle chain must error", cycles)
+		}
+	}
+	if _, err := c.CaptureChain(pt, testKey, 1, 2); err == nil {
+		t.Fatal("1-cycle encryption chain must error")
 	}
 }

@@ -33,11 +33,6 @@ type PopulationConfig struct {
 	FDR float64
 }
 
-// DefaultPopulationConfig returns the tuning used by the fleet service.
-func DefaultPopulationConfig() PopulationConfig {
-	return PopulationConfig{MinCohort: 8, Sigma: 1, FDR: 0.05}
-}
-
 func (c PopulationConfig) withDefaults() PopulationConfig {
 	if c.MinCohort <= 0 {
 		c.MinCohort = 8

@@ -84,16 +84,6 @@ func PadPow2(x []float64) []float64 {
 	return out
 }
 
-// ToComplex converts a real signal to a complex slice with zero imaginary
-// parts.
-func ToComplex(x []float64) []complex128 {
-	out := make([]complex128, len(x))
-	for i, v := range x {
-		out[i] = complex(v, 0)
-	}
-	return out
-}
-
 // RealFFT computes the FFT of a real signal, zero-padding it to a power of
 // two. It returns the complex spectrum of length NextPow2(len(x)).
 func RealFFT(x []float64) []complex128 {
@@ -103,17 +93,12 @@ func RealFFT(x []float64) []complex128 {
 // RealFFTInto is RealFFT writing into dst, which is grown only when its
 // capacity is below NextPow2(len(x)); it returns the slice holding the
 // spectrum. It runs the planned half-size real transform (see plan.go):
-// half the butterfly work of the old ToComplex + full complex FFT path,
-// with no scratch allocation when dst has capacity. The full complex
-// transform remains available through FFT and serves as the reference
-// in the differential tests.
+// half the butterfly work of widening to complex and running the full
+// complex FFT, with no scratch allocation when dst has capacity. The
+// full complex transform remains available through FFT and serves as
+// the reference in the differential tests.
 func RealFFTInto(dst []complex128, x []float64) []complex128 {
 	return PlanForLength(len(x)).RealFFTInto(dst, x)
-}
-
-// Magnitudes returns the magnitude of each bin of the spectrum.
-func Magnitudes(spec []complex128) []float64 {
-	return MagnitudesInto(nil, spec)
 }
 
 // BinFrequency returns the frequency in hertz of bin k for a transform of

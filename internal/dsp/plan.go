@@ -13,8 +13,8 @@ import (
 // experiments, STFT spectrograms) run with zero steady-state
 // allocations. Real input goes through the half-size complex transform
 // plus an untangle pass — an n-point real FFT costs one n/2-point
-// complex FFT instead of the n-point transform the old ToComplex path
-// paid — and the magnitude/PSD loops use the 4-wide single-accumulator
+// complex FFT instead of the n-point transform of the input widened to
+// complex — and the magnitude/PSD loops use the 4-wide single-accumulator
 // unroll idiom of DESIGN.md §10. The pre-existing complex radix-2
 // butterflies are kept bit-identical (FFT/IFFT produce the same values
 // as before; they only stopped recomputing the permutation per call),

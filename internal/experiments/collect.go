@@ -10,21 +10,23 @@ import (
 	"emtrust/internal/trojan"
 )
 
-// This file is the deterministic trace-capture engine. Three primitives
+// This file is the deterministic trace-capture engine. Four primitives
 // replace the old one-at-a-time loops:
 //
-//   - replicate: for steady-state identical-stimulus sets (idle
-//     windows). The chip's idle state is a fixed point, so the simulator
-//     runs twice (warm-up + measure) instead of once per trace and only
-//     the per-trace acquisition noise differs: a 60-trace set collapses
-//     from 60 gate-level simulations to 2.
+//   - replicate: for idle windows whose consumers read the per-tile
+//     currents (Tiles), like the RON baseline. The chip's idle state is
+//     a fixed point, so the simulator runs twice (warm-up + measure)
+//     instead of once per trace and only the per-trace acquisition noise
+//     differs: a 60-trace set collapses from 60 gate-level simulations
+//     to 2.
 //   - captureSet: for fixed-stimulus encryption sets. Active Trojans
 //     with internal counters evolve across captures, so a handful of
 //     serial captures sample that state diversity and the n acquisitions
 //     round-robin over them.
-//   - captureEach: for distinct-stimulus sets (random plaintexts). Each
-//     worker owns a chip clone; traces are dealt out dynamically and
-//     every trace restores the shared base snapshot before capturing.
+//   - captureRandomSet: for distinct-stimulus sets (random plaintexts),
+//     batched through the wide engine from one base snapshot.
+//   - idleTraces: for idle windows that need only the waveforms, run as
+//     a two-step idle chain through the process-wide capture cache.
 //
 // All derive per-trace randomness from (cfg.Seed, stream, index) via
 // chip.SplitRand, with one stream id reserved per set, so results are
@@ -65,32 +67,26 @@ func replicate(c *chip.Chip, n int, capture func(*chip.Chip) (*chip.Capture, err
 	})
 }
 
-// captureEach runs n independent captures, each from the same base
-// snapshot, sharded across chip clones. fn receives the worker's chip
-// (already rewound to the base state), the trace index, and a private
-// per-trace generator; it must be index-addressed and must not touch
-// shared mutable state. The primary chip c ends at the base state plus
-// one capture-equivalent only if worker 0 ran last — so to keep the
-// post-set state schedule-independent, c is restored to the base
-// snapshot after the set.
-func captureEach(c *chip.Chip, n int, fn func(w *chip.Chip, i int, rng *rand.Rand) error) error {
-	if n <= 0 {
+// acquireSet acquires n dual-channel traces in parallel — trace i from
+// the capture and generator that pick(i) returns — and collects them in
+// index order, so the set is identical at any worker count.
+func acquireSet(ch chip.Channels, n int, pick func(i int) (*chip.Capture, *rand.Rand)) (*dualSet, error) {
+	sensors := make([]*trace.Trace, n)
+	probes := make([]*trace.Trace, n)
+	err := parallel.For(n, func(i int) error {
+		cap, rng := pick(i)
+		sensors[i], probes[i] = ch.Acquire(cap, rng)
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	stream := c.NextStream()
-	base := c.Snapshot()
-	defer c.Restore(base)
-	return parallel.Run(n,
-		func(w int) (*chip.Chip, error) {
-			if w == 0 {
-				return c, nil
-			}
-			return c.Clone()
-		},
-		func(w *chip.Chip, i int) error {
-			w.Restore(base)
-			return fn(w, i, c.SplitRand(stream, uint64(i)))
-		})
+	var out dualSet
+	for i := range sensors {
+		out.Sensor.Add(sensors[i])
+		out.Probe.Add(probes[i])
+	}
+	return &out, nil
 }
 
 // stateSamples is how many distinct chip states a fixed-stimulus set
@@ -127,21 +123,9 @@ func captureSet(c *chip.Chip, cfg Config, ch chip.Channels, n, cycles int) (*dua
 		return nil, err
 	}
 	caps := chain[1:] // chain[0] is the warm-up, discarded
-	sensors := make([]*trace.Trace, n)
-	probes := make([]*trace.Trace, n)
-	err = parallel.For(n, func(i int) error {
-		sensors[i], probes[i] = ch.Acquire(caps[i%k], c.SplitRand(stream, uint64(i)))
-		return nil
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *rand.Rand) {
+		return caps[i%k], c.SplitRand(stream, uint64(i))
 	})
-	if err != nil {
-		return nil, err
-	}
-	var out dualSet
-	for i := range sensors {
-		out.Sensor.Add(sensors[i])
-		out.Probe.Add(probes[i])
-	}
-	return &out, nil
 }
 
 // captureRandomSet records n traces of encryptions of random plaintexts
@@ -196,21 +180,9 @@ func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, n, cycles int)
 	if err != nil {
 		return nil, err
 	}
-	sensors := make([]*trace.Trace, n)
-	probes := make([]*trace.Trace, n)
-	err = parallel.For(n, func(i int) error {
-		sensors[i], probes[i] = ch.Acquire(caps[i], rngs[i])
-		return nil
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *rand.Rand) {
+		return caps[i], rngs[i]
 	})
-	if err != nil {
-		return nil, err
-	}
-	var out dualSet
-	for i := range sensors {
-		out.Sensor.Add(sensors[i])
-		out.Probe.Add(probes[i])
-	}
-	return &out, nil
 }
 
 // idleTraces records n dual-channel traces with no encryption running
@@ -230,21 +202,9 @@ func idleTraces(c *chip.Chip, ch chip.Channels, n, cycles int) (*dualSet, error)
 		return nil, err
 	}
 	cap := chain[1] // chain[0] is the warm-up, discarded
-	sensors := make([]*trace.Trace, n)
-	probes := make([]*trace.Trace, n)
-	err = parallel.For(n, func(i int) error {
-		sensors[i], probes[i] = ch.Acquire(cap, c.SplitRand(stream, uint64(i)))
-		return nil
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *rand.Rand) {
+		return cap, c.SplitRand(stream, uint64(i))
 	})
-	if err != nil {
-		return nil, err
-	}
-	var out dualSet
-	for i := range sensors {
-		out.Sensor.Add(sensors[i])
-		out.Probe.Add(probes[i])
-	}
-	return &out, nil
 }
 
 // infectedChip builds the chip carrying all Trojans, with everything

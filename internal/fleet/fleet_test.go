@@ -66,6 +66,26 @@ func TestServiceRunsToRoundBudget(t *testing.T) {
 	waitNoGoroutines(t, s)
 }
 
+// TestWaitLeavesNoGoroutines: without abandoned ticks, every service
+// goroutine has left the count by the time Wait returns — no polling.
+// A goroutine that signalled completion before uncounting itself made
+// this read 1 now and then.
+func TestWaitLeavesNoGoroutines(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		s, err := New(cheapConfig(4, 4, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		s.Wait()
+		if g := s.Goroutines(); g != 0 {
+			t.Fatalf("run %d: %d goroutines still counted after Wait", i, g)
+		}
+	}
+}
+
 func TestServiceGracefulShutdown(t *testing.T) {
 	cfg := cheapConfig(6, 2, 0) // endless: only the context stops it
 	s, err := New(cfg)

@@ -173,20 +173,13 @@ func (s *Service) Start(ctx context.Context) error {
 	for _, st := range s.shards {
 		s.producers.Add(1)
 		st := st
-		s.spawn(func() {
-			defer s.producers.Done()
-			s.superviseShard(st)
-		})
+		s.spawn(func() { s.superviseShard(st) }, s.producers.Done)
 	}
 	// Closer: once every producer is done, close the queue so the
 	// aggregator drains the remainder and exits — the graceful-shutdown
 	// drain path.
+	s.spawn(s.producers.Wait, s.queue.close)
 	s.spawn(func() {
-		s.producers.Wait()
-		s.queue.close()
-	})
-	s.spawn(func() {
-		defer close(s.done)
 		if h := s.hooks.stallAggregator; h != nil {
 			// Chaos path: the stall hook wants per-verdict granularity so
 			// the queue saturates deterministically.
@@ -209,14 +202,19 @@ func (s *Service) Start(ctx context.Context) error {
 			}
 			s.agg.ingestBatch(buf[:n])
 		}
-	})
+	}, func() { close(s.done) })
 	return nil
 }
 
-// spawn runs fn on a counted goroutine (see Goroutines).
-func (s *Service) spawn(fn func()) {
+// spawn runs fn on a counted goroutine (see Goroutines), then — even
+// if fn panics — uncounts it and only then calls done, the goroutine's
+// completion signal. Uncounting first makes every signal happen after
+// the signalling goroutine has left the count, so once Wait returns
+// Goroutines reads zero unless an abandoned tick is still running.
+func (s *Service) spawn(fn, done func()) {
 	s.goroutines.Add(1)
 	go func() {
+		defer done()
 		defer s.goroutines.Add(-1)
 		fn()
 	}()
@@ -458,7 +456,6 @@ func (s *Service) tickDie(st *shardState, d *Die, round int) (v verdict, ok, stu
 func (s *Service) newTickRunner() *tickRunner {
 	r := &tickRunner{req: make(chan tickReq), done: make(chan verdict, 1), exit: make(chan struct{})}
 	s.spawn(func() {
-		defer close(r.exit)
 		for req := range r.req {
 			if req.stall > 0 {
 				time.Sleep(req.stall)
@@ -467,7 +464,7 @@ func (s *Service) newTickRunner() *tickRunner {
 			req.die.busy.Store(false)
 			r.done <- v
 		}
-	})
+	}, func() { close(r.exit) })
 	return r
 }
 

@@ -20,7 +20,6 @@ import (
 	"emtrust/internal/chip"
 	"emtrust/internal/emfield"
 	"emtrust/internal/layout"
-	"emtrust/internal/parallel"
 	"emtrust/internal/trace"
 )
 
@@ -225,21 +224,6 @@ func (a *Array) CellDist(k1, k2 int) int {
 		return dy
 	}
 	return dx
-}
-
-// EMFs synthesizes every coil's induced voltage from one capture's
-// per-tile current waveforms, fanned out over the worker pool. Each task
-// writes only its own cell index, so the result is schedule-independent.
-func (a *Array) EMFs(currents [][]float64, dt float64) ([][]float64, error) {
-	out := make([][]float64, a.NumCoils())
-	err := parallel.For(a.NumCoils(), func(k int) error {
-		out[k] = a.Couplings[k].EMF(currents, dt)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // DefaultChannel returns the acquisition front end assumed for the

@@ -178,13 +178,6 @@ func (a *Array) ScanEncryption(c *chip.Chip, ch trace.Channel, pt, key []byte, c
 	})
 }
 
-// ScanIdle captures a frame with no encryption running.
-func (a *Array) ScanIdle(c *chip.Chip, ch trace.Channel, cycles int) (*Frame, error) {
-	return a.ScanFrame(c, ch, func(int) (*chip.Capture, error) {
-		return c.CaptureIdle(cycles)
-	})
-}
-
 // Feature reduces one coil trace to the scalar the self-referencing
 // detector compares across the array.
 type Feature func(t *trace.Trace) float64
