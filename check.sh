@@ -34,4 +34,8 @@ echo "== campaign smoke (generate, search, export) =="
 # nonzero if the search finds no partial-trigger coverage at all.
 go run ./cmd/netlist -campaign 8 -member 1 -search 2 -stats=false -verilog /dev/null >/dev/null
 
+echo "== CPA smoke (key recovery through the sensor coil) =="
+# The example exits nonzero below 12/16 recovered key bytes.
+go run ./examples/cpa >/dev/null
+
 echo "all checks passed"

@@ -34,6 +34,7 @@ type CPAConfig struct {
 	// the loaded state byte), "sbox" (S-box output-difference weight),
 	// "combined" (both) or "profiled" (the default: the exact S-box
 	// cone charge from the netlist generator plus the register load).
+	// Any other name is an error.
 	Model string
 }
 
@@ -87,15 +88,49 @@ func hypothesis(model string, p, k byte) float64 {
 	}
 }
 
+// hypothesisTable tabulates a model over the loaded byte p^k, so the
+// correlation pays one lookup per (trace, key guess). Unknown model
+// names are an error; "" is the profiled default.
+func hypothesisTable(model string) (*[256]float64, error) {
+	switch model {
+	case "", "profiled", "load", "sbox", "combined":
+	default:
+		return nil, fmt.Errorf("attack: unknown leakage model %q", model)
+	}
+	var tab [256]float64
+	for in := range tab {
+		tab[in] = hypothesis(model, byte(in), 0)
+	}
+	return &tab, nil
+}
+
+// captureChunk is how many plaintexts one batched capture carries: one
+// full 64-lane word of the wide engine. Chunking bounds the clean
+// captures alive at once, so the attack's heap stays flat in the trace
+// count.
+const captureChunk = 64
+
 // Run collects traces from the chip (which must be Trojan-free and use a
-// fixed key) and mounts the CPA. The chip's state is reset before every
-// capture so the load-edge Hamming model holds.
+// fixed key) and mounts the CPA. Every capture starts from the chip's
+// reset state, so the load-edge Hamming model holds; the captures run
+// through the wide batch engine, captureChunk plaintexts at a time, and
+// are acquired in trace order from the chip's random stream. The chip is
+// left in its reset state.
 func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *rand.Rand) (*Result, error) {
 	if len(key) != 16 {
 		return nil, fmt.Errorf("attack: need a 16-byte key")
 	}
-	if cfg.Traces < 16 || cfg.WindowEnd <= cfg.WindowStart {
+	samplesPerTrace := cfg.Cycles * c.Config().Power.SamplesPerCycle
+	if cfg.Traces < 16 || cfg.WindowStart < 0 || cfg.WindowEnd <= cfg.WindowStart {
 		return nil, fmt.Errorf("attack: invalid config %+v", cfg)
+	}
+	if cfg.WindowEnd > samplesPerTrace {
+		return nil, fmt.Errorf("attack: window [%d,%d) exceeds trace of %d samples",
+			cfg.WindowStart, cfg.WindowEnd, samplesPerTrace)
+	}
+	table, err := hypothesisTable(cfg.Model)
+	if err != nil {
+		return nil, err
 	}
 	rx := chip.Channels{
 		Sensor: trace.SimulationChannel(cfg.ReceiverNoise),
@@ -105,57 +140,68 @@ func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *rand.Rand) (*Result, erro
 	w := cfg.WindowEnd - cfg.WindowStart
 	n := cfg.Traces
 	pts := make([][]byte, n)
-	samples := make([][]float64, n) // [trace][windowSample]
-	for t := 0; t < n; t++ {
-		pt := make([]byte, 16)
-		rng.Read(pt)
-		pts[t] = pt
-		c.ResetState()
-		cap, err := c.CapturePT(pt, key, cfg.Cycles)
+	samples := make([]float64, w*n) // column-major: [windowSample][trace]
+	c.ResetState()
+	snaps := make([]*chip.Snapshot, captureChunk)
+	base := c.Snapshot()
+	for i := range snaps {
+		snaps[i] = base
+	}
+	for lo := 0; lo < n; lo += captureChunk {
+		hi := min(lo+captureChunk, n)
+		for t := lo; t < hi; t++ {
+			pts[t] = make([]byte, 16)
+			rng.Read(pts[t])
+		}
+		caps, err := c.CaptureBatchFrom(snaps[:hi-lo], pts[lo:hi], key, cfg.Cycles)
 		if err != nil {
 			return nil, err
 		}
-		s, _ := c.Acquire(cap, rx)
-		if cfg.WindowEnd > len(s.Samples) {
-			return nil, fmt.Errorf("attack: window [%d,%d) exceeds trace of %d samples",
-				cfg.WindowStart, cfg.WindowEnd, len(s.Samples))
+		for i, cap := range caps {
+			s, _ := c.Acquire(cap, rx)
+			for j, v := range s.Samples[cfg.WindowStart:cfg.WindowEnd] {
+				samples[j*n+lo+i] = v
+			}
 		}
-		row := make([]float64, w)
-		copy(row, s.Samples[cfg.WindowStart:cfg.WindowEnd])
-		samples[t] = row
 	}
+	return correlate(pts, samples, w, table), nil
+}
 
+// correlate mounts the first-order Pearson attack on column-major
+// window samples. Every sum runs in ascending trace order.
+func correlate(pts [][]byte, samples []float64, w int, table *[256]float64) *Result {
+	n := len(pts)
 	// Per-sample means and standard deviations, shared by every
 	// hypothesis.
 	meanX := make([]float64, w)
-	for _, row := range samples {
-		for s, v := range row {
+	stdX := make([]float64, w)
+	for s := range meanX {
+		x := samples[s*n : (s+1)*n]
+		for _, v := range x {
 			meanX[s] += v
 		}
-	}
-	for s := range meanX {
 		meanX[s] /= float64(n)
-	}
-	stdX := make([]float64, w)
-	for _, row := range samples {
-		for s, v := range row {
+		for _, v := range x {
 			d := v - meanX[s]
 			stdX[s] += d * d
 		}
-	}
-	for s := range stdX {
 		stdX[s] = math.Sqrt(stdX[s])
 	}
 
 	var res Result
+	pb := make([]byte, n)
 	h := make([]float64, n)
+	hx := make([]float64, w)
 	for b := 0; b < 16; b++ {
+		for t, pt := range pts {
+			pb[t] = pt[b]
+		}
 		best, second := -1.0, -1.0
 		var bestK byte
 		for k := 0; k < 256; k++ {
 			var sumH, sumH2 float64
-			for t := 0; t < n; t++ {
-				h[t] = hypothesis(cfg.Model, pts[t][b], byte(k))
+			for t, p := range pb {
+				h[t] = table[p^byte(k)]
 				sumH += h[t]
 				sumH2 += h[t] * h[t]
 			}
@@ -165,16 +211,13 @@ func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *rand.Rand) (*Result, erro
 				continue
 			}
 			// max |rho| over the window; cov = sum(h*x) - n*mh*mx.
+			dots(hx, h, samples)
 			maxRho := 0.0
 			for s := 0; s < w; s++ {
 				if stdX[s] == 0 {
 					continue
 				}
-				cov := 0.0
-				for t := 0; t < n; t++ {
-					cov += h[t] * samples[t][s]
-				}
-				cov -= float64(n) * meanH * meanX[s]
+				cov := hx[s] - float64(n)*meanH*meanX[s]
 				rho := math.Abs(cov / (stdH * stdX[s]))
 				if rho > maxRho {
 					maxRho = rho
@@ -195,7 +238,35 @@ func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *rand.Rand) (*Result, erro
 		}
 		res.Bytes[b] = ByteResult{Guess: bestK, Correlation: best, Margin: margin}
 	}
-	return &res, nil
+	return &res
+}
+
+// dots sets sum[s] to the dot product of h with column s of the
+// column-major samples, four columns per sweep so the four running sums
+// overlap; each sum still adds its terms in ascending trace order.
+func dots(sum, h, samples []float64) {
+	n := len(h)
+	s := 0
+	for ; s+4 <= len(sum); s += 4 {
+		x0, x1 := samples[s*n:][:n], samples[(s+1)*n:][:n]
+		x2, x3 := samples[(s+2)*n:][:n], samples[(s+3)*n:][:n]
+		var c0, c1, c2, c3 float64
+		for t, v := range h {
+			c0 += v * x0[t]
+			c1 += v * x1[t]
+			c2 += v * x2[t]
+			c3 += v * x3[t]
+		}
+		sum[s], sum[s+1], sum[s+2], sum[s+3] = c0, c1, c2, c3
+	}
+	for ; s < len(sum); s++ {
+		x := samples[s*n:][:n]
+		c := 0.0
+		for t, v := range h {
+			c += v * x[t]
+		}
+		sum[s] = c
+	}
 }
 
 // Evaluate fills Correct by comparing against the true key and returns

@@ -2,11 +2,11 @@ package chip
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"emtrust/internal/aes"
 	"emtrust/internal/analog"
+	"emtrust/internal/emfield"
 	"emtrust/internal/logic"
 	"emtrust/internal/power"
 	"emtrust/internal/trojan"
@@ -14,19 +14,25 @@ import (
 
 // Batched capture: up to logic.MaxLanes capture lanes — (pre-state,
 // plaintext) pairs — run through one bit-parallel wide simulation
-// instead of N scalar ones. The pipeline deduplicates identical lanes,
-// replays lanes the process-wide capture cache has seen before, and
-// simulates only the remainder, one uint64 word per net, with per-lane
-// toggle extraction feeding per-lane power recorders so every lane's
-// waveform is bit-identical to an independent scalar capture (pinned by
-// the batch and determinism tests at every worker/lane count).
+// instead of N scalar ones. The pipeline deduplicates identical lanes
+// within a call and simulates the rest, one uint64 word per net. Every
+// toggle word is booked once into a lane-major power.Ledger, which
+// flushes each lane-cycle's currents straight into the lane's flux, so
+// every lane's waveform is bit-identical to an independent scalar
+// capture (pinned by the batch and determinism tests at every
+// worker/lane count).
 //
-// Batch captures are side-effect-free on the chip: the wide engine is
-// separate simulation state, so the chip's own simulator, recorder and
+// Batch captures bypass the process-wide capture cache: their callers
+// (random-plaintext sets, the CPA) send unique stimuli a cache would only
+// churn through. They are also side-effect-free on the chip: the wide
+// engine and the ledger are separate simulation state, so the chip's own
+// simulator, recorder (and the Tiles of its last scalar capture) and
 // analog Trojan stay where they were. Returned captures carry no Tiles
-// (per-tile current waveforms) — lanes share pooled recorder buffers
-// and cached captures have none to give; consumers that need Tiles use
-// the scalar CapturePT/CaptureIdle.
+// (per-tile current waveforms): no lane ever holds a whole-window
+// waveform. Consumers that need Tiles use the scalar
+// CapturePT/CaptureIdle. (A reference-engine chip has no wide engine;
+// its batches run scalar captures through the chip's recorder and
+// rewind the chip afterwards.)
 
 // batchLanes caps how many lanes one wide simulation carries; 0 (the
 // default) means logic.MaxLanes.
@@ -56,23 +62,20 @@ var captureSeq atomic.Uint64
 
 func nextCaptureSeq() uint64 { return captureSeq.Add(1) }
 
-// batchGroup is one deduplicated (pre-state, stimulus) capture lane and
-// the input indices that collapse onto it.
+// batchGroup is one deduplicated (pre-state, stimulus) capture lane, the
+// input indices that collapse onto it, and its result.
 type batchGroup struct {
-	snap  *Snapshot
-	hash  uint64
-	stim  stimulus
-	ck    captureKey
-	idx   []int
-	entry *captureEntry
+	snap *Snapshot
+	stim stimulus
+	idx  []int
+	cap  *Capture
 }
 
 // CaptureBatchFrom fans encryption lanes through the wide engine: lane i
 // restores snaps[i] (taken on this chip or one sharing its design) and
 // encrypts pts[i] under key. A nil snaps broadcasts the chip's current
 // state to every lane. It returns one *Capture per lane without
-// advancing the chip's state. The cache may retain references to the
-// snapshots' states, which Snapshot already promises are immutable.
+// advancing the chip's state; identical lanes share one *Capture.
 func (c *Chip) CaptureBatchFrom(snaps []*Snapshot, pts [][]byte, key []byte, cycles int) ([]*Capture, error) {
 	if len(pts) == 0 {
 		return nil, nil
@@ -117,139 +120,96 @@ func (c *Chip) batchSnaps(snaps []*Snapshot, n int) ([]*Snapshot, error) {
 	return snaps, nil
 }
 
-// captureBatch deduplicates the lanes, replays cached groups, simulates
-// the rest in wide chunks (or scalar captures when the chip runs the
-// reference engine), and maps group results back onto the input order.
-// Every lane's stimulus is an encryption under the same key.
+// sameState reports whether two snapshots hold the same dynamic state.
+func (s *Snapshot) sameState(o *Snapshot) bool {
+	return s == o || (s.a2Enabled == o.a2Enabled && s.a2 == o.a2 && s.sim.ValuesEqual(o.sim))
+}
+
+// captureBatch deduplicates the lanes, simulates the groups in wide
+// chunks (or scalar captures when the chip runs the reference engine),
+// and maps group results back onto the input order. Every lane's
+// stimulus is an encryption under the same key.
 func (c *Chip) captureBatch(snaps []*Snapshot, stims []stimulus, cycles int) ([]*Capture, error) {
 	if err := stims[0].checkWindow(cycles); err != nil {
 		return nil, err
 	}
-	hashes := make(map[*Snapshot]uint64)
 	var groups []*batchGroup
-	var misses []*batchGroup
 	for i, s := range snaps {
-		h, ok := hashes[s]
-		if !ok {
-			h = s.sim.ValueHash()
-			hashes[s] = h
-		}
 		var g *batchGroup
 		for _, have := range groups {
-			if have.stim != stims[i] {
-				continue
-			}
-			if have.snap == s || (have.hash == h && have.snap.a2Enabled == s.a2Enabled &&
-				have.snap.a2 == s.a2 && have.snap.sim.ValuesEqual(s.sim)) {
+			if have.stim == stims[i] && have.snap.sameState(s) {
 				g = have
 				break
 			}
 		}
 		if g == nil {
-			g = &batchGroup{
-				snap: s, hash: h, stim: stims[i],
-				ck: c.captureCacheKey(stims[i], cycles, s.a2, s.a2Enabled, h),
-			}
-			g.entry = lookupCapture(g.ck, s.sim)
+			g = &batchGroup{snap: s, stim: stims[i]}
 			groups = append(groups, g)
-			if g.entry == nil {
-				misses = append(misses, g)
-			}
 		}
 		g.idx = append(g.idx, i)
 	}
-	if len(misses) > 0 {
-		if c.sim.Compiled() {
-			lanes := BatchLanes()
-			for lo := 0; lo < len(misses); lo += lanes {
-				hi := lo + lanes
-				if hi > len(misses) {
-					hi = len(misses)
-				}
-				if err := c.runWide(misses[lo:hi], cycles); err != nil {
-					return nil, err
-				}
+	if c.sim.Compiled() {
+		lanes := BatchLanes()
+		for lo := 0; lo < len(groups); lo += lanes {
+			if err := c.runWide(groups[lo:min(lo+lanes, len(groups))], cycles); err != nil {
+				return nil, err
 			}
-		} else if err := c.runScalarBatch(misses, cycles); err != nil {
-			return nil, err
 		}
+	} else if err := c.runScalarBatch(groups, cycles); err != nil {
+		return nil, err
 	}
 	out := make([]*Capture, len(snaps))
 	for _, g := range groups {
 		for _, i := range g.idx {
-			out[i] = g.entry.cap
+			out[i] = g.cap
 		}
 	}
 	return out, nil
 }
 
-// ensureWide lazily builds the chip's wide engine and grows the pooled
-// per-lane recorders and analog-Trojan scratch to the given lane count.
-// Pooled recorders are built from the same configuration and floorplan
-// as the chip's own, so their per-cell charge tables are identical and
-// lane waveforms match scalar captures bit for bit.
-func (c *Chip) ensureWide(lanes int) error {
+// runWide simulates up to MaxLanes groups as lanes of one wide capture
+// and fills the groups' captures. The cycle sequence mirrors the scalar
+// capture exactly — idle lead-in tick, per-lane plaintext with broadcast
+// key and start pulse, load edge, then the remaining cycles — with the
+// T2 crowbar and A2 charge-pump hooks booked per lane from the lane's
+// net word each cycle. The wide engine and the ledger are built on
+// first use and private to this chip handle.
+func (c *Chip) runWide(groups []*batchGroup, cycles int) error {
 	if c.wide == nil {
 		w, err := c.sim.Wide()
 		if err != nil {
 			return err
 		}
-		c.wide = w
+		c.wide, c.ledger = w, power.NewLedger(c.rec)
 	}
-	for len(c.recs) < lanes {
-		r, err := power.NewRecorder(c.cfg.Power, c.fp)
-		if err != nil {
-			return err
-		}
-		c.recs = append(c.recs, r)
-	}
-	if len(c.a2s) < lanes {
-		c.a2s = make([]analog.A2, lanes)
-		c.a2on = make([]bool, lanes)
-	}
-	return nil
-}
-
-// runWide simulates up to MaxLanes miss groups as lanes of one wide
-// capture, stores each lane's result in the capture cache and fills the
-// groups' entries. The cycle sequence mirrors the scalar capture
-// exactly — idle lead-in tick, per-lane plaintext with broadcast key and
-// start pulse, load edge, then the remaining cycles — with the T2
-// crowbar and A2 charge-pump hooks applied per lane from the lane's net
-// word each cycle.
-func (c *Chip) runWide(groups []*batchGroup, cycles int) error {
 	lanes := len(groups)
-	if err := c.ensureWide(lanes); err != nil {
-		return err
-	}
-	w := c.wide
+	w, led := c.wide, c.ledger
 	sts := make([]*logic.State, lanes)
+	a2s := make([]analog.A2, lanes)
+	a2on := make([]bool, lanes)
 	for l, g := range groups {
 		sts[l] = g.snap.sim
+		a2s[l] = g.snap.a2
+		a2on[l] = g.snap.a2Enabled && c.a2 != nil
 	}
 	if err := w.LoadStates(sts); err != nil {
 		return err
 	}
-	recs := c.recs[:lanes]
-	a2s := c.a2s[:lanes]
-	a2on := c.a2on[:lanes]
-	for l, g := range groups {
-		recs[l].Begin(cycles)
-		if c.a2 != nil {
-			a2s[l] = g.snap.a2
-		}
-		a2on[l] = g.snap.a2Enabled && c.a2 != nil
+	// The ledger streams each lane-cycle's currents into the lane's two
+	// flux waveforms, which become its emfs once the window closes.
+	n := cycles * c.cfg.Power.SamplesPerCycle
+	sensor, probe := make([][]float64, lanes), make([][]float64, lanes)
+	for l := range sensor {
+		sensor[l], probe[l] = make([]float64, n), make([]float64, n)
 	}
-	// Per-lane toggle extraction: diff = old^new marks the lanes that
-	// changed; each set bit books the cell's switching charge on that
-	// lane's recorder, in the same order a scalar capture would.
-	w.OnWideToggle = func(cell int32, diff, nv uint64) {
-		for diff != 0 {
-			l := bits.TrailingZeros64(diff)
-			diff &= diff - 1
-			recs[l].OnToggle(int(cell), nv>>uint(l)&1 == 1)
-		}
+	err := led.Begin(lanes, cycles, func(l, start int, cur [][]float64) {
+		c.sensor.AddFlux(sensor[l][start:start+len(cur[0])], cur)
+		c.probe.AddFlux(probe[l][start:start+len(cur[0])], cur)
+	})
+	if err != nil {
+		return err
 	}
+	w.OnWideToggle = led.OnWideToggle
 	defer func() { w.OnWideToggle = nil }()
 
 	t2, hasT2 := c.trojans[trojan.T2LeakageCurrent]
@@ -257,36 +217,22 @@ func (c *Chip) runWide(groups []*batchGroup, cycles int) error {
 		w.Tick()
 		if hasT2 {
 			on := w.NetWord(t2.Active) &^ w.NetWord(t2.LeakWire)
-			amps := c.cfg.Power.CrowbarCurrent * float64(t2.CrowbarPairs)
-			for on != 0 {
-				l := bits.TrailingZeros64(on)
-				on &= on - 1
-				if l < lanes {
-					recs[l].AddStaticCurrent(c.t2Tile, amps)
-				}
-			}
+			led.AddStaticCurrent(on, c.t2Tile, c.cfg.Power.CrowbarCurrent*float64(t2.CrowbarPairs))
 		}
 		if c.a2 != nil {
 			vw := w.NetWord(c.a2Victim)
-			for l := 0; l < lanes; l++ {
+			for l := range a2s {
 				if !a2on[l] {
 					continue
 				}
 				res := a2s[l].Step(uint8(vw >> uint(l) & 1))
 				if res.Pumped {
-					recs[l].AddFastToggles(c.a2Tile, 1, c.cfg.A2.PumpCharge)
+					led.AddFastToggles(l, c.a2Tile, 1, c.cfg.A2.PumpCharge)
 				}
-				if res.FastToggles > 0 {
-					recs[l].AddFastToggles(c.a2Tile, res.FastToggles, c.cfg.A2.TriggerCharge)
-				}
+				led.AddFastToggles(l, c.a2Tile, res.FastToggles, c.cfg.A2.TriggerCharge)
 			}
 		}
-		for l := range recs {
-			if err := recs[l].EndCycle(); err != nil {
-				return err
-			}
-		}
-		return nil
+		return led.EndCycle()
 	}
 
 	if err := tick(); err != nil { // cycle 0: idle lead-in
@@ -319,32 +265,21 @@ func (c *Chip) runWide(groups []*batchGroup, cycles int) error {
 		}
 	}
 
-	dt := recs[0].Dt()
+	dt := c.rec.Dt()
 	for l, g := range groups {
-		currents := recs[l].Currents()
-		post := w.LaneState(l)
-		var postA2 analog.A2
-		if c.a2 != nil {
-			postA2 = a2s[l]
+		g.cap = &Capture{
+			Sensor: emfield.FluxToEMF(sensor[l], dt),
+			Probe:  emfield.FluxToEMF(probe[l], dt),
+			Dt:     dt,
+			seq:    nextCaptureSeq(),
 		}
-		e := &captureEntry{
-			pre: g.snap.sim,
-			cap: &Capture{
-				Sensor: c.sensor.EMF(currents, dt),
-				Probe:  c.probe.EMF(currents, dt),
-				Dt:     dt,
-				seq:    nextCaptureSeq(),
-			},
-			post: post, postA2: postA2, postHash: post.ValueHash(),
-		}
-		g.entry = storeCapture(g.ck, e)
 	}
 	return nil
 }
 
 // runScalarBatch is the reference-engine fallback (and the batch
 // layer's semantic ground truth, which the batch tests pin the wide
-// path against): each miss group restores its snapshot and runs a plain
+// path against): each group restores its snapshot and runs a plain
 // scalar capture, after which the chip is rewound to where it was.
 func (c *Chip) runScalarBatch(groups []*batchGroup, cycles int) error {
 	save := c.Snapshot()
@@ -355,7 +290,7 @@ func (c *Chip) runScalarBatch(groups []*batchGroup, cycles int) error {
 		if err != nil {
 			return err
 		}
-		g.entry = c.storeScalar(g.ck, g.snap.sim, cap)
+		g.cap = &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: cap.seq}
 	}
 	return nil
 }

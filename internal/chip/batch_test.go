@@ -106,6 +106,102 @@ func TestCaptureBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestCaptureBatchLedgerT2A2 pins the wide path's charge ledger on a
+// 48-lane batch: lanes start from a dormant snapshot or from snapshots
+// along an A2 charging orbit (dormant pump through firing) with the T2
+// crowbar active, so T2 static current and sub-cycle A2 pulses run on
+// some lanes and not on others. Every lane must match a scalar capture
+// bit for bit, and the batch must leave the capture-cache counters, the
+// chip's state and its last scalar capture's Tiles alone.
+func TestCaptureBatchLedgerT2A2(t *testing.T) {
+	c, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	orbit := []*Snapshot{c.Snapshot()} // T2 and A2 both off
+	if err := c.SetTrojan(trojan.T2LeakageCurrent, true); err != nil {
+		t.Fatal(err)
+	}
+	if c.sim.Net(c.trojans[trojan.T2LeakageCurrent].Active) != 1 {
+		t.Fatal("T2 did not activate")
+	}
+	c.EnableA2(true)
+	firing := 0
+	for i := 0; i < 6; i++ {
+		orbit = append(orbit, c.Snapshot())
+		if c.A2().Firing() {
+			firing++
+		}
+		// 101 cycles, so the T2 shift pacing has a different phase at
+		// every snapshot.
+		if _, err := c.CaptureIdle(101); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if firing == 0 || firing == len(orbit)-1 {
+		t.Fatalf("%d of %d orbit snapshots have A2 firing; want a mix", firing, len(orbit)-1)
+	}
+
+	// An all-ones key loads a 1 into the T2 head bit on the load edge,
+	// so the crowbar current switches off mid-window instead of
+	// conducting through it.
+	key := make([]byte, 16)
+	for i := range key {
+		key[i] = 0xff
+	}
+	const lanes = 48
+	pts := make([][]byte, lanes)
+	snaps := make([]*Snapshot, lanes)
+	for i := range pts {
+		pt := make([]byte, 16)
+		pt[i%16] = byte(29*i + 1)
+		pt[(i+7)%16] ^= byte(i)
+		pts[i] = pt
+		snaps[i] = orbit[i%len(orbit)]
+	}
+	// A scalar capture's Tiles alias the chip's recorder; a batch capture
+	// must leave them, the chip's state and the cache counters alone.
+	last, err := c.CapturePT(pts[0], key, batchCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiles := make([][]float64, len(last.Tiles))
+	for i, w := range last.Tiles {
+		tiles[i] = append([]float64(nil), w...)
+	}
+	state, cycle := c.Snapshot(), c.sim.Cycle()
+	before := Stats()
+	caps, err := c.CaptureBatchFrom(snaps, pts, key, batchCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := Stats(); after.CaptureHits != before.CaptureHits || after.CaptureMisses != before.CaptureMisses {
+		t.Fatalf("batch capture moved the capture-cache counters: %+v -> %+v", before, after)
+	}
+	if !c.Snapshot().sameState(state) || c.sim.Cycle() != cycle {
+		t.Fatal("batch capture moved the chip")
+	}
+	for i, w := range tiles {
+		for j, v := range w {
+			if last.Tiles[i][j] != v {
+				t.Fatalf("batch capture overwrote the last scalar capture's Tiles (tile %d sample %d)", i, j)
+			}
+		}
+	}
+	scalar, err := c.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pts {
+		scalar.Restore(snaps[i])
+		want, err := scalar.CapturePT(pts[i], key, batchCycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameWave(t, "ledger lane", caps[i], want)
+	}
+}
+
 // TestCaptureBatchLaneCountInvariance pins the determinism contract:
 // the same batch split into 1-, 3- or 64-lane wide runs (partial final
 // chunks included) produces byte-identical captures.

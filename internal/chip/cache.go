@@ -13,8 +13,9 @@ import (
 	"emtrust/internal/trojan"
 )
 
-// Two process-wide replay caches complement the bit-parallel capture
-// engine (batch.go). Both exploit the same fact the determinism
+// Two process-wide replay caches: chip builds, and the capture chains of
+// batch.go (batch captures, whose stimuli are unique, bypass the capture
+// cache). Both exploit the same fact the determinism
 // contract rests on: a capture is a pure function of (design, config,
 // pre-capture state, stimulus), so replaying one is indistinguishable
 // from re-simulating it. Caches therefore never change results — they
@@ -120,8 +121,8 @@ type captureKey struct {
 }
 
 // captureEntry is one memoized capture: the exact pre-state it applies
-// to, the clean waveforms, a stable *Capture handle (Tiles nil — batch
-// and replayed captures do not carry per-tile currents), and the
+// to, the clean waveforms, a stable *Capture handle (Tiles nil —
+// replayed captures do not carry per-tile currents), and the
 // post-capture state so a replay can advance a chip without
 // simulating.
 type captureEntry struct {

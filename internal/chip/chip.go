@@ -142,12 +142,10 @@ type Chip struct {
 	streams *atomic.Uint64
 
 	// Lazy batch-capture machinery (batch.go): the wide engine and its
-	// pooled per-lane recorders and analog-Trojan scratch. Private to this
-	// chip handle — Clone and WithStuckAt reset them.
-	wide *logic.WideState
-	recs []*power.Recorder
-	a2s  []analog.A2
-	a2on []bool
+	// lane-major charge ledger. Private to this chip handle — Clone and
+	// WithStuckAt reset them.
+	wide   *logic.WideState
+	ledger *power.Ledger
 
 	// Fixed-point capture memos, one slot per stimulus kind (indexed by
 	// stimulus.slot) so an idle capture does not evict the encryption
@@ -456,13 +454,11 @@ func (c *Chip) Clone() (*Chip, error) {
 }
 
 // resetPrivate detaches the per-handle lazy machinery after a shallow
-// chip copy: the wide engine wraps the source's simulator, the pooled
-// recorders and memos belong to the source handle.
+// chip copy: the wide engine wraps the source's simulator, the ledger
+// and memos belong to the source handle.
 func (c *Chip) resetPrivate() {
 	c.wide = nil
-	c.recs = nil
-	c.a2s = nil
-	c.a2on = nil
+	c.ledger = nil
 	c.memo = [2]*captureMemo{}
 }
 

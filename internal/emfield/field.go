@@ -369,17 +369,36 @@ func (cp *Coupling) emfInto(dst []float64, currents [][]float64, dt float64, gai
 		dst[i] = 0
 	}
 	accumulateFlux(dst, currents, cp.M, gains)
-	// In-place backward differentiation: index i needs flux[i] and
-	// flux[i-1], both still intact when walking from the top down.
+	return FluxToEMF(dst, dt)
+}
+
+// AddFlux adds the coil's flux linkage of per-tile currents (indexed
+// [tile][sample]) into dst, sample by sample in tile order: EMF's flux
+// pass over a stretch of samples. Flux is separable by sample, so a
+// waveform accumulated piecewise from zeroed dst and then passed to
+// FluxToEMF equals EMF of the whole waveform bit for bit.
+func (cp *Coupling) AddFlux(dst []float64, currents [][]float64) {
+	if len(currents) != len(cp.M) {
+		panic(fmt.Sprintf("emfield: %d tile waveforms for %d couplings", len(currents), len(cp.M)))
+	}
+	accumulateFlux(dst, currents, cp.M, nil)
+}
+
+// FluxToEMF differentiates a flux waveform in place into the induced
+// emf, emf = -dflux/dt by backward differences, and returns it.
+func FluxToEMF(flux []float64, dt float64) []float64 {
+	// Index i needs flux[i] and flux[i-1], both still intact when
+	// walking from the top down.
+	n := len(flux)
 	for i := n - 1; i >= 1; i-- {
-		dst[i] = -(dst[i] - dst[i-1]) / dt
+		flux[i] = -(flux[i] - flux[i-1]) / dt
 	}
 	if n > 1 {
-		dst[0] = dst[1]
-	} else {
-		dst[0] = 0
+		flux[0] = flux[1]
+	} else if n == 1 {
+		flux[0] = 0
 	}
-	return dst
+	return flux
 }
 
 // accumulateFlux adds every tile's effective coupling times its

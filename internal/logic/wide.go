@@ -142,13 +142,23 @@ func (w *WideState) LoadStates(sts []*State) error {
 	}
 	w.lanes = len(sts)
 	w.mask = ^uint64(0) >> uint(64-w.lanes)
+	// Only lanes holding a different snapshot than lane 0 need the
+	// per-net patch walk.
+	var patch [MaxLanes]int
+	np := 0
+	for l := 1; l < len(sts); l++ {
+		if sts[l] != sts[0] {
+			patch[np] = l
+			np++
+		}
+	}
 	base := sts[0].values
 	for i := range w.values {
 		var word uint64
 		if base[i] != 0 {
 			word = w.mask
 		}
-		for l := 1; l < len(sts); l++ {
+		for _, l := range patch[:np] {
 			if sts[l].values[i] != base[i] {
 				word ^= 1 << uint(l)
 			}

@@ -95,6 +95,16 @@ type subEvent struct {
 	count  int
 }
 
+// pulseStart is the sample, from the cycle start, where pulse j of the
+// event starts on an s-sample cycle. Each pulse is centered in its
+// sub-interval so the injected tones sit in quadrature with the
+// cycle-aligned clock pulses and always add energy instead of
+// sometimes cancelling.
+func (ev subEvent) pulseStart(j, s int) int {
+	stride := max(s/ev.count, 1)
+	return j*stride + stride/2
+}
+
 // NewRecorder builds a recorder for the placed netlist.
 func NewRecorder(cfg Config, fp *layout.Floorplan) (*Recorder, error) {
 	if cfg.ClockHz <= 0 || cfg.SamplesPerCycle <= 0 {
@@ -201,16 +211,10 @@ func (r *Recorder) Begin(numCycles int) {
 	r.sub = r.sub[:0]
 }
 
-// OnToggle is the logic.Simulator callback: it books the toggling cell's
-// switching charge at its tile for the current cycle.
-func (r *Recorder) OnToggle(cell int, _ bool) {
-	r.cycleCharge[r.grid.CellTile[cell]] += r.charge[cell]
-}
-
 // DrainToggles books a batch of toggle events (logic.Simulator.TakeToggles)
 // for the current cycle. It walks the batch in occurrence order, adding
-// each cell's charge exactly as the per-event OnToggle path would, so the
-// accumulated waveforms are bit-identical to per-callback recording while
+// each cell's switching charge at its tile, so the accumulated waveforms
+// are bit-identical to booking the toggles one callback at a time while
 // paying one call per cycle instead of one per toggle.
 func (r *Recorder) DrainToggles(events []logic.ToggleEvent) {
 	cycleCharge, tile, charge := r.cycleCharge, r.grid.CellTile, r.charge
@@ -266,15 +270,8 @@ func (r *Recorder) EndCycle() error {
 		}
 	}
 	for _, ev := range r.sub {
-		stride := s / ev.count
-		if stride < 1 {
-			stride = 1
-		}
-		// Center each pulse in its sub-interval so the injected tones
-		// sit in quadrature with the cycle-aligned clock pulses and
-		// always add energy instead of sometimes cancelling.
 		for j := 0; j < ev.count; j++ {
-			r.deposit(ev.tile, base+j*stride+stride/2, ev.charge)
+			r.deposit(ev.tile, base+ev.pulseStart(j, s), ev.charge)
 		}
 	}
 	r.sub = r.sub[:0]

@@ -72,15 +72,14 @@ func TestToggleChargeConservation(t *testing.T) {
 	}
 	rec.Begin(4)
 	// Toggle cell 0 twice in cycle 0 and cell 1 once in cycle 2.
-	rec.OnToggle(0, true)
-	rec.OnToggle(0, false)
+	toggle(rec, 0, 0)
 	if err := rec.EndCycle(); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.EndCycle(); err != nil {
 		t.Fatal(err)
 	}
-	rec.OnToggle(1, true)
+	toggle(rec, 1)
 	if err := rec.EndCycle(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,7 @@ func TestBeginResetsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.Begin(1)
-	rec.OnToggle(0, true)
+	toggle(rec, 0)
 	rec.AddStaticCurrent(0, 1)
 	rec.AddFastToggles(0, 2, 1e-15)
 	// Begin again without EndCycle: everything booked must vanish.
@@ -252,7 +251,7 @@ func TestProcessVariation(t *testing.T) {
 		}
 		rec.Begin(1)
 		for i := range n.Cells {
-			rec.OnToggle(i, true)
+			toggle(rec, i)
 		}
 		if err := rec.EndCycle(); err != nil {
 			t.Fatal(err)
@@ -281,51 +280,126 @@ func TestProcessVariation(t *testing.T) {
 	}
 }
 
-// TestDrainTogglesMatchesOnToggle pins the batched-accounting contract:
-// draining a toggle batch produces bit-identical waveforms to calling
-// OnToggle per event, because the drain walks the batch in occurrence
-// order performing the same float additions.
-func TestDrainTogglesMatchesOnToggle(t *testing.T) {
+// toggle books one rising toggle of each cell for the current cycle.
+func toggle(rec *Recorder, cells ...int) {
+	batch := make([]logic.ToggleEvent, len(cells))
+	for i, cell := range cells {
+		batch[i] = logic.ToggleEvent(cell)<<1 | 1
+	}
+	rec.DrainToggles(batch)
+}
+
+// TestLedgerMatchesRecorder pins the streaming lane-major ledger: every
+// lane's flushed currents are bit-identical to a Recorder fed the same
+// toggles (in an order where float-add reordering would show), static
+// currents and sub-cycle pulses. The pulse trains include a tail that
+// spills across two later cycles and one clipped at the window end;
+// toggles booked after the last cycle are dropped on both sides.
+func TestLedgerMatchesRecorder(t *testing.T) {
 	fp, n := smallPlan(t)
 	cfg := DefaultConfig()
-	recA, err := NewRecorder(cfg, fp)
+	shared, err := NewRecorder(cfg, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recB, err := NewRecorder(cfg, fp)
-	if err != nil {
-		t.Fatal(err)
+	led := NewLedger(shared)
+	if err := led.Begin(0, 2, nil); err == nil {
+		t.Fatal("zero-lane ledger must error")
 	}
-	// A toggle sequence hitting the same cells repeatedly, in an order
-	// where float-add reordering would show up if the drain grouped or
-	// reordered events.
-	cells := []int{0, 3, 1, 0, 2, 0, 5, int(uint(len(n.Cells) - 1)), 1, 0}
-	recA.Begin(2)
-	recB.Begin(2)
-	for cycle := 0; cycle < 2; cycle++ {
-		var batch []logic.ToggleEvent
-		for i, cell := range cells {
-			rise := i%2 == 0
-			recA.OnToggle(cell, rise)
-			e := logic.ToggleEvent(cell) << 1
-			if rise {
-				e |= 1
+	last := len(n.Cells) - 1
+	cells := []int{0, 3, 1, 0, 2, 0, 5, last, 1, 0}
+	const lanes, cycles = 5, 4
+	s := cfg.SamplesPerCycle
+	// Lane l toggles cells[i] in cycle cy when laneHas says so, so lanes
+	// see different subsets of the sequence.
+	laneHas := func(l, i, cy int) bool { return (i*7+cy)>>uint(l%3)&1 == 1 || l == 4 }
+	// Cycle 1's tail runs two cycles on, and cycle 3's past the window.
+	fastCount := func(cy int) int { return []int{3, 2*s + 10, 1, 2 * s}[cy] }
+	for pass := 0; pass < 2; pass++ { // the second pass reuses the buffers
+		got := make([][][]float64, lanes)
+		for l := range got {
+			got[l] = make([][]float64, fp.Grid.NumTiles())
+			for tile := range got[l] {
+				got[l][tile] = make([]float64, cycles*s)
 			}
-			batch = append(batch, e)
 		}
-		recB.DrainToggles(batch)
-		if err := recA.EndCycle(); err != nil {
+		flushed := 0
+		err := led.Begin(lanes, cycles, func(lane, start int, cur [][]float64) {
+			if start != flushed/lanes*s || lane != flushed%lanes {
+				t.Fatalf("flush %d: lane %d start %d out of order", flushed, lane, start)
+			}
+			flushed++
+			for tile, w := range cur {
+				copy(got[lane][tile][start:], w)
+			}
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := recB.EndCycle(); err != nil {
-			t.Fatal(err)
+		for cy := 0; cy < cycles; cy++ {
+			for i, cell := range cells {
+				var diff uint64
+				for l := 0; l < lanes; l++ {
+					if laneHas(l, i, cy) {
+						diff |= 1 << uint(l)
+					}
+				}
+				led.OnWideToggle(int32(cell), diff|1<<40, 0) // bit 40 is no lane
+			}
+			led.AddStaticCurrent(0b10110, 3, 1e-4*float64(cy+1))
+			led.AddStaticCurrent(0b00110, 3, 3e-5)
+			led.AddFastToggles(1, 2, fastCount(cy), 3e-15)
+			led.AddFastToggles(3, 0, 2, 1e-15)
+			led.AddFastToggles(3, 2, 0, 1e-15) // no-op
+			if err := led.EndCycle(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	wa, wb := recA.Currents(), recB.Currents()
-	for tile := range wa {
-		for i := range wa[tile] {
-			if wa[tile][i] != wb[tile][i] {
-				t.Fatalf("tile %d sample %d: callback %v != drained %v", tile, i, wa[tile][i], wb[tile][i])
+		led.OnWideToggle(0, 1, 0) // past the last cycle: dropped
+		if err := led.EndCycle(); err == nil {
+			t.Fatal("EndCycle past the capture must error")
+		}
+		if flushed != lanes*cycles {
+			t.Fatalf("%d flushes, want %d", flushed, lanes*cycles)
+		}
+		for l := 0; l < lanes; l++ {
+			rec, err := NewRecorder(cfg, fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Begin(cycles)
+			for cy := 0; cy < cycles; cy++ {
+				var mine []int
+				for i, cell := range cells {
+					if laneHas(l, i, cy) {
+						mine = append(mine, cell)
+					}
+				}
+				toggle(rec, mine...)
+				if 0b10110>>uint(l)&1 == 1 {
+					rec.AddStaticCurrent(3, 1e-4*float64(cy+1))
+				}
+				if 0b00110>>uint(l)&1 == 1 {
+					rec.AddStaticCurrent(3, 3e-5)
+				}
+				if l == 1 {
+					rec.AddFastToggles(2, fastCount(cy), 3e-15)
+				}
+				if l == 3 {
+					rec.AddFastToggles(0, 2, 1e-15)
+				}
+				if err := rec.EndCycle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := rec.Currents()
+			for tile := range want {
+				for i := range want[tile] {
+					if got[l][tile][i] != want[tile][i] {
+						t.Fatalf("pass %d lane %d tile %d sample %d: ledger %v != recorder %v",
+							pass, l, tile, i, got[l][tile][i], want[tile][i])
+					}
+				}
 			}
 		}
 	}
