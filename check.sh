@@ -26,6 +26,11 @@ fi
 echo "== engine differential (wide vs compiled vs reference) =="
 go test -run 'Differential|CompiledVsReference|Wide' -count=1 ./internal/logic/...
 
+echo "== capture replay, cold then warm process-wide cache =="
+# The second pass of each test runs against the capture cache the first
+# pass filled; replayed orbits must still match simulation bit for bit.
+go test -run 'Orbit|Replay|IdleChain' -count=2 ./internal/chip
+
 echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 

@@ -57,13 +57,16 @@ func DefaultA2Config() A2Config {
 	}
 }
 
-// A2 is one instance of the analog Trojan attached to a victim wire.
+// A2 is one instance of the analog Trojan attached to a victim wire. Its
+// state is purely dynamical — capacitor voltage, previous victim value,
+// payload state — so two instances that compare equal produce identical
+// futures, and a periodically driven Trojan revisits equal states (the
+// chip's capture cache keys on it).
 type A2 struct {
-	cfg       A2Config
-	v         float64 // capacitor voltage
-	prev      uint8   // previous victim value
-	firing    bool
-	fireCount int
+	cfg    A2Config
+	v      float64 // capacitor voltage
+	prev   uint8   // previous victim value
+	firing bool
 }
 
 // NewA2 creates an A2 Trojan with the given electrical configuration.
@@ -87,15 +90,11 @@ func (a *A2) Voltage() float64 { return a.v }
 // Firing reports whether the payload is currently asserted.
 func (a *A2) Firing() bool { return a.firing }
 
-// FireCount returns how many cycles the Trojan has spent firing.
-func (a *A2) FireCount() int { return a.fireCount }
-
 // Reset discharges the capacitor and clears the payload.
 func (a *A2) Reset() {
 	a.v = 0
 	a.prev = 0
 	a.firing = false
-	a.fireCount = 0
 }
 
 // CycleResult reports what the Trojan did during one clock cycle; the
@@ -135,7 +134,6 @@ func (a *A2) Step(victim uint8) CycleResult {
 		a.firing = false
 	}
 	if a.firing {
-		a.fireCount++
 		res.FastToggles = a.cfg.TriggerTogglesPerCycle
 		res.Charge += a.cfg.TriggerCharge * float64(res.FastToggles)
 	}

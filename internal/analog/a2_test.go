@@ -101,16 +101,35 @@ func TestA2FastTogglesWhileFiring(t *testing.T) {
 	if math.Abs(res.Charge-wantCharge) > 1e-20 {
 		t.Fatalf("firing charge = %g, want %g", res.Charge, wantCharge)
 	}
-	if a.FireCount() == 0 {
-		t.Fatal("FireCount not accumulating")
+}
+
+// TestA2FiringOrbitRepeats: a firing Trojan on a divide-by-2 victim
+// settles onto a periodic orbit of exactly equal states. The state
+// carries nothing that grows without bound, which is what lets the chip
+// replay the firing windows from its capture cache.
+func TestA2FiringOrbitRepeats(t *testing.T) {
+	a := NewA2(DefaultA2Config())
+	run(a, 2, 1000)
+	seen := map[A2]int{}
+	for i := 0; i < 512; i++ {
+		if j, ok := seen[*a]; ok {
+			if !a.Firing() {
+				t.Fatal("orbit closed while not firing")
+			}
+			t.Logf("orbit closes after %d victim periods", i-j)
+			return
+		}
+		seen[*a] = i
+		run(a, 2, 2)
 	}
+	t.Fatal("firing A2 state never repeated within 512 victim periods")
 }
 
 func TestA2Reset(t *testing.T) {
 	a := NewA2(DefaultA2Config())
 	run(a, 2, 1000)
 	a.Reset()
-	if a.Voltage() != 0 || a.Firing() || a.FireCount() != 0 {
+	if *a != *NewA2(DefaultA2Config()) {
 		t.Fatal("Reset incomplete")
 	}
 }

@@ -26,13 +26,12 @@ import (
 // (random-plaintext sets, the CPA) send unique stimuli a cache would only
 // churn through. They are also side-effect-free on the chip: the wide
 // engine and the ledger are separate simulation state, so the chip's own
-// simulator, recorder (and the Tiles of its last scalar capture) and
-// analog Trojan stay where they were. Returned captures carry no Tiles
-// (per-tile current waveforms): no lane ever holds a whole-window
-// waveform. Consumers that need Tiles use the scalar
-// CapturePT/CaptureIdle. (A reference-engine chip has no wide engine;
-// its batches run scalar captures through the chip's recorder and
-// rewind the chip afterwards.)
+// simulator, recorder and analog Trojan stay where they were. Returned
+// captures carry no per-tile current waveforms (Tiles returns nil): no
+// lane ever holds a whole-window waveform. Consumers that need them use
+// the scalar CapturePT/CaptureIdle. (A reference-engine chip has no
+// wide engine; its batches simulate scalar windows through the chip's
+// recorder, bypassing memo and cache, and rewind the chip afterwards.)
 
 // batchLanes caps how many lanes one wide simulation carries; 0 (the
 // default) means logic.MaxLanes.
@@ -286,26 +285,13 @@ func (c *Chip) runScalarBatch(groups []*batchGroup, cycles int) error {
 	defer c.Restore(save)
 	for _, g := range groups {
 		c.Restore(g.snap)
-		cap, err := c.capture(g.stim, cycles)
+		cap, err := c.simulate(g.stim, cycles)
 		if err != nil {
 			return err
 		}
 		g.cap = &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: cap.seq}
 	}
 	return nil
-}
-
-// storeScalar records the scalar capture that just moved the chip from
-// pre to its current state in the capture cache under ck, and returns
-// the resident entry.
-func (c *Chip) storeScalar(ck captureKey, pre *logic.State, cap *Capture) *captureEntry {
-	post := c.sim.State()
-	postA2, _ := c.a2State()
-	return storeCapture(ck, &captureEntry{
-		pre:  pre,
-		cap:  &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: nextCaptureSeq()},
-		post: post, postA2: postA2, postHash: post.ValueHash(),
-	})
 }
 
 // CaptureChain runs count consecutive CapturePT calls of one plaintext —
@@ -333,47 +319,25 @@ func (c *Chip) CaptureIdleChain(cycles, count int) ([]*Capture, error) {
 	return c.chain(idleStimulus, cycles, count)
 }
 
-// chain runs count consecutive captures of s through the process-wide
-// capture cache. Each step is replayed from the cache when this exact
-// (state, stimulus) capture has run before (a dormant chip's fixed
-// point collapses the whole chain to one simulation; an active Trojan's
-// orbit replays after its first traversal), and simulated scalar
-// otherwise. Waveforms, the simulator state trajectory, the cycle
-// counter and the analog Trojan state are bit-identical to count serial
-// scalar captures. Chain captures carry no Tiles.
+// chain runs count consecutive captures of s, each from the state the
+// previous one left: a loop over the scalar capture path, carrying the
+// post-state hash from step to step. A dormant chip's fixed point
+// collapses the whole chain to at most one simulation, and an active
+// Trojan's periodic orbit replays after its first traversal. Waveforms,
+// the simulator state trajectory, the cycle counter and the analog
+// Trojan state are bit-identical to count serial scalar captures.
 func (c *Chip) chain(s stimulus, cycles, count int) ([]*Capture, error) {
 	if count <= 0 {
 		return nil, nil
 	}
-	if err := s.checkWindow(cycles); err != nil {
-		return nil, err
-	}
 	caps := make([]*Capture, count)
 	var hash uint64
 	for j := range caps {
-		pre := c.sim.State()
-		if j == 0 {
-			hash = pre.ValueHash()
+		cap, h, err := c.capture(s, cycles, hash)
+		if err != nil {
+			return nil, err
 		}
-		a2, a2On := c.a2State()
-		ck := c.captureCacheKey(s, cycles, a2, a2On, hash)
-		e := lookupCapture(ck, pre)
-		if e != nil {
-			cyc := c.sim.Cycle()
-			c.sim.SetState(e.post)
-			c.sim.SetCycle(cyc + cycles)
-			if c.a2 != nil {
-				*c.a2 = e.postA2
-			}
-		} else {
-			cap, err := c.capture(s, cycles)
-			if err != nil {
-				return nil, err
-			}
-			e = c.storeScalar(ck, pre, cap)
-		}
-		caps[j] = e.cap
-		hash = e.postHash
+		caps[j], hash = cap, h
 	}
 	return caps, nil
 }

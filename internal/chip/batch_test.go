@@ -165,8 +165,9 @@ func TestCaptureBatchLedgerT2A2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiles := make([][]float64, len(last.Tiles))
-	for i, w := range last.Tiles {
+	lastTiles := last.Tiles()
+	tiles := make([][]float64, len(lastTiles))
+	for i, w := range lastTiles {
 		tiles[i] = append([]float64(nil), w...)
 	}
 	state, cycle := c.Snapshot(), c.sim.Cycle()
@@ -183,7 +184,7 @@ func TestCaptureBatchLedgerT2A2(t *testing.T) {
 	}
 	for i, w := range tiles {
 		for j, v := range w {
-			if last.Tiles[i][j] != v {
+			if last.Tiles()[i][j] != v {
 				t.Fatalf("batch capture overwrote the last scalar capture's Tiles (tile %d sample %d)", i, j)
 			}
 		}
@@ -406,7 +407,7 @@ func TestFixedPointMemo(t *testing.T) {
 	if got := c.sim.Cycle(); got != cycle+2*batchCycles {
 		t.Fatalf("cycle = %d, want %d", got, cycle+2*batchCycles)
 	}
-	if len(c2.Tiles) == 0 {
+	if len(c2.Tiles()) == 0 {
 		t.Fatal("memoized capture lost its Tiles")
 	}
 	// A replay must match what a fresh simulation of the same capture

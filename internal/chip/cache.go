@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -10,18 +11,19 @@ import (
 	"emtrust/internal/layout"
 	"emtrust/internal/logic"
 	"emtrust/internal/netlist"
+	"emtrust/internal/power"
 	"emtrust/internal/trojan"
 )
 
-// Two process-wide replay caches: chip builds, and the capture chains of
-// batch.go (batch captures, whose stimuli are unique, bypass the capture
-// cache). Both exploit the same fact the determinism
-// contract rests on: a capture is a pure function of (design, config,
-// pre-capture state, stimulus), so replaying one is indistinguishable
-// from re-simulating it. Caches therefore never change results — they
-// only short-circuit identical computations — and worker/lane counts
-// cannot influence outputs through them. Entries are verified by exact
-// state comparison (ValuesEqual), never by hash alone.
+// Two process-wide replay caches: chip builds, and scalar captures
+// (CapturePT, CaptureIdle and the chains over them; batch captures,
+// whose stimuli are unique, bypass the capture cache). Both exploit the
+// same fact the determinism contract rests on: a capture is a pure
+// function of (build, pre-capture state, stimulus), so replaying one is
+// indistinguishable from re-simulating it. Caches therefore never
+// change results — they only short-circuit identical computations — and
+// worker/lane counts cannot influence outputs through them. Entries are
+// verified by exact state comparison (ValuesEqual), never by hash alone.
 
 // buildKey identifies one immutable chip structure: the full build
 // configuration with the random seed zeroed, since Seed feeds only the
@@ -32,10 +34,13 @@ type buildKey struct {
 }
 
 // built holds the immutable parts of a chip build, shared by every chip
-// constructed with an equivalent configuration. The template simulator
-// is never ticked; chips fork it, which shares the compiled program and
-// levelization while giving each chip private mutable state.
+// constructed with an equivalent configuration (cfg, with Seed zeroed).
+// The template simulator is never ticked; chips — and the private
+// re-simulations behind Capture.Tiles — fork it, which shares the
+// compiled program and levelization while giving each fork private
+// mutable state.
 type built struct {
+	cfg      Config
 	n        *netlist.Netlist
 	core     *aes.Core
 	fp       *layout.Floorplan
@@ -46,6 +51,11 @@ type built struct {
 	t2Tile   int
 	a2Victim netlist.Net
 	a2Tile   int
+
+	// This build's capture-cache entries and the epoch they belong to;
+	// guarded by captureCache.
+	captures      map[captureKey][]*captureEntry
+	capturesEpoch uint64
 }
 
 var buildCache = struct {
@@ -105,14 +115,13 @@ func storeBuild(key buildKey, b *built) {
 	buildCache.m[key] = b
 }
 
-// captureKey identifies one capture as a pure function: the design (by
-// identity — stuck-at variants get fresh netlists), the build
-// configuration, the stimulus, the window length, and the analog-Trojan
+// captureKey identifies one capture within its build (which fixes the
+// netlist, floorplan, couplings and every configuration field but the
+// noise Seed, which no capture reads; stuck-at variants are builds of
+// their own): the stimulus, the window length, and the analog-Trojan
 // state. The gate-level pre-state rides as a hash here and is verified
 // exactly against each candidate entry.
 type captureKey struct {
-	n       *netlist.Netlist
-	cfg     Config
 	stim    stimulus
 	cycles  int
 	a2      analog.A2
@@ -120,36 +129,59 @@ type captureKey struct {
 	simHash uint64
 }
 
-// captureEntry is one memoized capture: the exact pre-state it applies
-// to, the clean waveforms, a stable *Capture handle (Tiles nil —
-// replayed captures do not carry per-tile currents), and the
-// post-capture state so a replay can advance a chip without
-// simulating.
+// captureEntry is one memoized capture: its build and key, the exact
+// pre-state it applies to, the resident *Capture every replay returns
+// (waveforms only: per-tile currents are re-simulated on demand from
+// the build, key and pre-state, see Capture.Tiles), and the post-capture
+// state so a replay can advance a chip without simulating. fixed marks a
+// fixed point (post-state and analog state equal the pre-state), which
+// chips also memoize.
 type captureEntry struct {
+	b        *built
+	key      captureKey
 	pre      *logic.State
 	cap      *Capture
 	post     *logic.State
 	postA2   analog.A2
 	postHash uint64
+	fixed    bool
 }
 
-var captureCache = struct {
+// The capture cache lives in the builds: each build holds its own entry
+// map (built.captures), so the cache never keeps alive a build — netlist,
+// compiled program, floorplan — that neither the build cache nor a chip
+// still holds. One process-wide lock guards every build's map and the
+// global entry count. A wholesale drop bumps the epoch, which
+// invalidates every build's map at once; a stale map is cleared on its
+// build's next access.
+var captureCache struct {
 	sync.Mutex
-	m     map[captureKey][]*captureEntry
-	count int
-}{m: make(map[captureKey][]*captureEntry)}
+	epoch uint64
+	count int // entries stored in the current epoch
+}
 
 // maxCaptureEntries bounds the capture cache (an entry holds two state
-// snapshots and two waveforms, ~100 KB on the default design). Eviction
-// is a wholesale drop: correctness never depends on residency.
+// snapshots and two waveforms, ~40 KB for a 32-cycle window on the
+// default design). Eviction is a wholesale drop: correctness never
+// depends on residency.
 const maxCaptureEntries = 256
 
-// lookupCapture returns the entry matching key with an exactly equal
+// captureMap returns b's entry map for the current epoch, clearing a
+// stale one. The caller holds captureCache.
+func (b *built) captureMap() map[captureKey][]*captureEntry {
+	if b.captures == nil || b.capturesEpoch != captureCache.epoch {
+		b.captures = make(map[captureKey][]*captureEntry)
+		b.capturesEpoch = captureCache.epoch
+	}
+	return b.captures
+}
+
+// lookupCapture returns b's entry matching key with an exactly equal
 // pre-state, or nil.
-func lookupCapture(key captureKey, pre *logic.State) *captureEntry {
+func (b *built) lookupCapture(key captureKey, pre *logic.State) *captureEntry {
 	captureCache.Lock()
 	defer captureCache.Unlock()
-	for _, e := range captureCache.m[key] {
+	for _, e := range b.captureMap()[key] {
 		if e.pre.ValuesEqual(pre) {
 			cacheStats.captureHits.Add(1)
 			return e
@@ -159,22 +191,24 @@ func lookupCapture(key captureKey, pre *logic.State) *captureEntry {
 	return nil
 }
 
-// storeCapture inserts an entry unless an equivalent one is already
-// present (concurrent workers may race to fill the same key; both
-// compute identical results, so either copy serves).
-func storeCapture(key captureKey, e *captureEntry) *captureEntry {
+// storeCapture inserts an entry into its build unless an equivalent one
+// is already present (concurrent workers may race to fill the same key;
+// both compute identical results, so either copy serves).
+func storeCapture(e *captureEntry) *captureEntry {
 	captureCache.Lock()
 	defer captureCache.Unlock()
-	for _, have := range captureCache.m[key] {
+	m := e.b.captureMap()
+	for _, have := range m[e.key] {
 		if have.pre.ValuesEqual(e.pre) {
 			return have
 		}
 	}
 	if captureCache.count >= maxCaptureEntries {
-		captureCache.m = make(map[captureKey][]*captureEntry)
+		captureCache.epoch++
 		captureCache.count = 0
+		m = e.b.captureMap()
 	}
-	captureCache.m[key] = append(captureCache.m[key], e)
+	m[e.key] = append(m[e.key], e)
 	captureCache.count++
 	return e
 }
@@ -184,17 +218,30 @@ func storeCapture(key captureKey, e *captureEntry) *captureEntry {
 // benchmarks to force fresh simulation paths.
 func ResetCaptureCache() {
 	captureCache.Lock()
-	captureCache.m = make(map[captureKey][]*captureEntry)
+	captureCache.epoch++
 	captureCache.count = 0
 	captureCache.Unlock()
 }
 
-// captureCacheKey assembles the cache key for a capture from this
-// chip's current identity and the given stimulus. simHash must be the
-// ValueHash of the pre-state being keyed.
-func (c *Chip) captureCacheKey(s stimulus, cycles int, a2 analog.A2, a2On bool, simHash uint64) captureKey {
-	return captureKey{
-		n: c.n, cfg: c.cfg, stim: s, cycles: cycles,
-		a2: a2, a2On: a2On, simHash: simHash,
+// tiles re-simulates the entry's window from its pre-state on a private
+// chip of the same build and returns the per-tile currents. The chip's
+// own recorder and simulator are untouched, so any goroutine may call
+// it. The window ran once already from this exact state, so a failure
+// here is a broken invariant, not an input error.
+func (e *captureEntry) tiles() [][]float64 {
+	b, k := e.b, e.key
+	rec, err := power.NewRecorder(b.cfg.Power, b.fp)
+	if err != nil {
+		panic(fmt.Sprintf("chip: re-simulating a cached window: %v", err))
 	}
+	r := &Chip{cfg: b.cfg, built: b, sim: b.template.Fork(), rec: rec, a2Enabled: k.a2On}
+	if b.cfg.WithA2 {
+		a2 := k.a2
+		r.a2 = &a2
+	}
+	r.sim.SetState(e.pre)
+	if err := r.run(k.stim, k.cycles); err != nil {
+		panic(fmt.Sprintf("chip: re-simulating a cached window: %v", err))
+	}
+	return rec.Currents()
 }

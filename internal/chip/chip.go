@@ -9,6 +9,7 @@ package chip
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"emtrust/internal/aes"
@@ -117,22 +118,15 @@ func DefaultConfig() Config {
 
 // Chip is one built and placed device with its measurement coils.
 type Chip struct {
-	cfg  Config
-	n    *netlist.Netlist
-	sim  *logic.Simulator
-	fp   *layout.Floorplan
-	rec  *power.Recorder
-	core *aes.Core
-
-	sensor *emfield.Coupling
-	probe  *emfield.Coupling
-
-	trojans map[trojan.Kind]*trojan.Instance
-	t2Tile  int // tile of the T2 crowbar cells
+	cfg Config
+	// The immutable structure shared by every chip of an equivalent
+	// build (netlist, floorplan, couplings, Trojan instances, template
+	// simulator); everything below it is this handle's mutable state.
+	*built
+	sim *logic.Simulator
+	rec *power.Recorder
 
 	a2        *analog.A2
-	a2Victim  netlist.Net
-	a2Tile    int
 	a2Enabled bool
 
 	rng *rand.Rand
@@ -151,8 +145,9 @@ type Chip struct {
 	// stimulus.slot) so an idle capture does not evict the encryption
 	// memo: when a capture leaves the chip exactly where it started (a
 	// dormant chip under fixed stimulus), the next identical capture
-	// replays the memo instead of simulating.
-	memo [2]*captureMemo
+	// replays the memo without touching the capture cache. A memo is the
+	// chip's own capture of a fixed-point cache entry (its win).
+	memo [2]*Capture
 }
 
 // stimulus is what one capture window applies to the chip: one AES
@@ -201,28 +196,20 @@ func (s stimulus) slot() int {
 	return 0
 }
 
-// captureMemo is one memoized fixed-point capture: the pre-state it
-// applies to (which, being a fixed point, is also its post-state), the
-// stimulus, and the stable result with deep-copied Tiles.
-type captureMemo struct {
-	pre    *logic.State
-	a2     analog.A2
-	a2On   bool
-	stim   stimulus
-	cycles int
-	cap    *Capture
-}
-
-// matches reports whether the chip currently sits exactly on the memo's
-// fixed point with the same analog-Trojan state and stimulus.
-func (m *captureMemo) matches(c *Chip, s stimulus, cycles int) bool {
-	if m == nil || m.stim != s || m.cycles != cycles || m.a2On != c.a2Enabled {
+// onMemo reports whether the chip currently sits exactly on the fixed
+// point of memo m with the same analog-Trojan state and stimulus.
+func (c *Chip) onMemo(m *Capture, s stimulus, cycles int) bool {
+	if m == nil {
 		return false
 	}
-	if c.a2 != nil && *c.a2 != m.a2 {
+	k := m.win.key
+	if k.stim != s || k.cycles != cycles || k.a2On != c.a2Enabled {
 		return false
 	}
-	return c.sim.State().ValuesEqual(m.pre)
+	if c.a2 != nil && *c.a2 != k.a2 {
+		return false
+	}
+	return c.sim.State().ValuesEqual(m.win.pre)
 }
 
 // New builds, places and couples a chip. Builds are memoized
@@ -235,7 +222,7 @@ func New(cfg Config) (*Chip, error) {
 	b := lookupBuild(key)
 	if b == nil {
 		var err error
-		b, err = buildChip(cfg)
+		b, err = buildChip(key.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -246,22 +233,18 @@ func New(cfg Config) (*Chip, error) {
 		return nil, err
 	}
 	c := &Chip{
-		cfg: cfg, n: b.n, sim: b.template.Fork(), fp: b.fp, rec: rec, core: b.core,
-		sensor: b.sensor, probe: b.probe,
-		trojans: b.trojans,
-		t2Tile:  b.t2Tile,
+		cfg: cfg, built: b, sim: b.template.Fork(), rec: rec,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		streams: new(atomic.Uint64),
 	}
 	if cfg.WithA2 {
 		c.a2 = analog.NewA2(cfg.A2)
-		c.a2Victim = b.a2Victim
-		c.a2Tile = b.a2Tile
 	}
 	return c, nil
 }
 
-// buildChip constructs the immutable part of a chip build.
+// buildChip constructs the immutable part of a chip build from a
+// seed-free configuration.
 func buildChip(cfg Config) (*built, error) {
 	b := netlist.NewBuilder(chipName(cfg))
 	core := aes.Generate(b)
@@ -307,7 +290,7 @@ func buildChip(cfg Config) (*built, error) {
 	}
 
 	out := &built{
-		n: n, core: core, fp: fp,
+		cfg: cfg, n: n, core: core, fp: fp,
 		sensor: sensor, probe: probe,
 		trojans: trojans, template: template,
 	}
@@ -459,7 +442,7 @@ func (c *Chip) Clone() (*Chip, error) {
 func (c *Chip) resetPrivate() {
 	c.wide = nil
 	c.ledger = nil
-	c.memo = [2]*captureMemo{}
+	c.memo = [2]*Capture{}
 }
 
 // SetTrojan switches a digital Trojan's external trigger and advances one
@@ -524,43 +507,120 @@ func (c *Chip) EnableA2(on bool) {
 // CapturePT runs one trace capture of the given number of clock cycles
 // (at least 2). The workload is one AES encryption of pt under key,
 // loaded on the cycle-1 clock edge; Trojan and analog activity continue
-// for the whole window. It returns the clean (noise-free) sensor and probe waveforms.
+// for the whole window. It returns the clean (noise-free) sensor and
+// probe waveforms.
 //
-// Fixed-point fast path: when the chip is dormant (no active Trojan
-// state machine evolving), a fixed-stimulus capture returns the chip to
-// exactly its pre-capture state; such a capture is memoized and every
-// later identical capture replays the memo (same *Capture, deep-copied
-// Tiles) while only advancing the cycle counter. Replay is gated on
-// exact state equality, so an active Trojan — whose state genuinely
-// evolves — never hits it.
+// Every scalar capture replays instead of simulating when the chip's
+// dynamical state has been seen before under the same stimulus: from the
+// chip's fixed-point memo (a dormant chip), or from the process-wide
+// capture cache (any window some chip of the same build has run, so an
+// active Trojan's periodic orbit simulates once per orbit step). Replay
+// is gated on exact state equality and is bit-identical to simulation.
 func (c *Chip) CapturePT(pt, key []byte, cycles int) (*Capture, error) {
 	s, err := encryption(pt, key)
 	if err != nil {
 		return nil, err
 	}
-	return c.capture(s, cycles)
+	cap, _, err := c.capture(s, cycles, 0)
+	return cap, err
 }
 
 // CaptureIdle runs a capture of at least one cycle with no encryption:
 // the Section V-A noise measurement ("the chip is powered up without
-// executing the encryption"). It shares CapturePT's fixed-point memo.
+// executing the encryption"). It replays like CapturePT.
 func (c *Chip) CaptureIdle(cycles int) (*Capture, error) {
-	return c.capture(idleStimulus, cycles)
+	cap, _, err := c.capture(idleStimulus, cycles, 0)
+	return cap, err
 }
 
-// capture is the one scalar capture path: window check, fixed-point
-// memo replay, the simulated window, and the memo store.
-func (c *Chip) capture(s stimulus, cycles int) (*Capture, error) {
+// capture is the one scalar capture path. It replays the window from,
+// in order, the chip's fixed-point memo and the process-wide capture
+// cache, and simulates it (filling the cache, and the memo when the
+// window is a fixed point) only when this exact (build, state, analog
+// state, stimulus) window has never run. hash, when non-zero, is the
+// ValueHash of the chip's current state — chains carry it from step to
+// step — and the returned hash is the post-state's.
+func (c *Chip) capture(s stimulus, cycles int, hash uint64) (*Capture, uint64, error) {
 	if err := s.checkWindow(cycles); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	slot := &c.memo[s.slot()]
-	if m := *slot; m.matches(c, s, cycles) {
+	if m := *slot; c.onMemo(m, s, cycles) {
 		c.sim.SetCycle(c.sim.Cycle() + cycles)
-		return m.cap, nil
+		return m, m.win.postHash, nil
 	}
 	pre := c.sim.State()
-	preA2, preOn := c.a2State()
+	if hash == 0 {
+		hash = pre.ValueHash()
+	}
+	a2, a2On := c.a2State()
+	key := captureKey{stim: s, cycles: cycles, a2: a2, a2On: a2On, simHash: hash}
+	e := c.lookupCapture(key, pre)
+	var cap *Capture
+	if e != nil {
+		cyc := c.sim.Cycle()
+		c.sim.SetState(e.post)
+		c.sim.SetCycle(cyc + cycles)
+		if c.a2 != nil {
+			*c.a2 = e.postA2
+		}
+		cap = e.cap
+		if e.fixed {
+			// The memo keeps the tiles it re-simulates; the resident
+			// capture must not, so the memo gets a private handle.
+			cap = &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: cap.seq, win: e}
+		}
+	} else {
+		var err error
+		if cap, err = c.simulate(s, cycles); err != nil {
+			return nil, 0, err
+		}
+		e = storeCapture(c.entry(key, pre, cap))
+		cap.win = e
+	}
+	if e.fixed {
+		*slot = cap
+	}
+	return cap, e.postHash, nil
+}
+
+// entry builds the capture-cache entry for the window that just moved
+// the chip from pre (keyed by key) to its current state. The entry's
+// resident capture shares the simulated capture's waveforms and Seq but
+// not its link to this chip's recorder.
+func (c *Chip) entry(key captureKey, pre *logic.State, sim *Capture) *captureEntry {
+	post := c.sim.State()
+	postA2, _ := c.a2State()
+	e := &captureEntry{
+		b: c.built, key: key, pre: pre,
+		post: post, postA2: postA2, postHash: post.ValueHash(),
+		fixed: postA2 == key.a2 && post.ValuesEqual(pre),
+	}
+	e.cap = &Capture{Sensor: sim.Sensor, Probe: sim.Probe, Dt: sim.Dt, seq: sim.seq, win: e}
+	return e
+}
+
+// simulate runs one window through the gates on this chip and returns
+// its capture, linked to the recorder that holds its tile currents.
+func (c *Chip) simulate(s stimulus, cycles int) (*Capture, error) {
+	if err := c.run(s, cycles); err != nil {
+		return nil, err
+	}
+	currents := c.rec.Currents()
+	dt := c.rec.Dt()
+	return &Capture{
+		Sensor: c.sensor.EMF(currents, dt),
+		Probe:  c.probe.EMF(currents, dt),
+		Dt:     dt,
+		seq:    nextCaptureSeq(),
+		rec:    c.rec,
+		gen:    c.rec.Generation(),
+	}, nil
+}
+
+// run drives one window of cycles clock cycles under stimulus s into the
+// recorder.
+func (c *Chip) run(s stimulus, cycles int) error {
 	c.rec.Begin(cycles)
 	// Batched toggle accounting: the engine accumulates toggle events per
 	// cycle and tick() drains them into the recorder in occurrence order,
@@ -569,31 +629,18 @@ func (c *Chip) capture(s stimulus, cycles int) (*Capture, error) {
 	defer c.sim.BatchToggles(false)
 	for i := 0; i < cycles; i++ {
 		if err := c.tick(); err != nil {
-			return nil, err
+			return err
 		}
 		// An encryption loads after the idle lead-in (cycle 0) and holds
 		// start high across the load edge (cycle 1) only; the input
 		// settle happens inside the cycle.
 		if !s.idle && i < 2 {
 			if err := c.strobe(s, i == 0); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	currents := c.rec.Currents()
-	dt := c.rec.Dt()
-	cap := &Capture{
-		Sensor: c.sensor.EMF(currents, dt),
-		Probe:  c.probe.EMF(currents, dt),
-		Dt:     dt,
-		Tiles:  currents,
-		seq:    nextCaptureSeq(),
-	}
-	if m := c.tryMemo(pre, preA2, preOn, s, cycles, cap); m != nil {
-		*slot = m
-		return m.cap, nil
-	}
-	return cap, nil
+	return nil
 }
 
 // strobe drives the encryption inputs and raises start before the load
@@ -623,28 +670,6 @@ func (c *Chip) a2State() (analog.A2, bool) {
 		a = *c.a2
 	}
 	return a, c.a2Enabled
-}
-
-// tryMemo builds a fixed-point memo when the capture that just finished
-// left the chip exactly where it started. The memoized capture deep-
-// copies Tiles (the live capture's alias the recorder's reusable
-// buffers) so the memo stays valid across later captures.
-func (c *Chip) tryMemo(pre *logic.State, preA2 analog.A2, preOn bool, s stimulus, cycles int, cap *Capture) *captureMemo {
-	if preOn != c.a2Enabled {
-		return nil
-	}
-	if c.a2 != nil && *c.a2 != preA2 {
-		return nil
-	}
-	if !c.sim.State().ValuesEqual(pre) {
-		return nil
-	}
-	tiles := make([][]float64, len(cap.Tiles))
-	for i, row := range cap.Tiles {
-		tiles[i] = append([]float64(nil), row...)
-	}
-	stable := &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, Tiles: tiles, seq: cap.seq}
-	return &captureMemo{pre: pre, a2: preA2, a2On: preOn, stim: s, cycles: cycles, cap: stable}
 }
 
 // tick advances one clock cycle inside a capture: gate-level simulation,
@@ -677,14 +702,15 @@ func (c *Chip) tick() error {
 // WithStuckAt returns a new chip identical to c except for a stuck-at
 // fault on the given net (a fabrication defect or a crude tampering
 // attempt). Floorplan and coil couplings are shared — the die geometry
-// does not change — but the gate-level simulator and activity recorder
-// are rebuilt for the mutated netlist.
+// does not change — but the variant is a build of its own: the mutated
+// netlist, a fresh template simulator and activity recorder, and so its
+// own capture-cache identity.
 func (c *Chip) WithStuckAt(net netlist.Net, value bool) (*Chip, error) {
 	mutated, err := c.n.StuckAt(net, value)
 	if err != nil {
 		return nil, err
 	}
-	sim, err := logic.New(mutated, c.cfg.simOptions()...)
+	template, err := logic.New(mutated, c.cfg.simOptions()...)
 	if err != nil {
 		return nil, err
 	}
@@ -693,8 +719,13 @@ func (c *Chip) WithStuckAt(net netlist.Net, value bool) (*Chip, error) {
 		return nil, err
 	}
 	out := *c
-	out.n = mutated
-	out.sim = sim
+	out.built = &built{
+		cfg: c.built.cfg, n: mutated, core: c.core, fp: c.fp,
+		sensor: c.sensor, probe: c.probe,
+		trojans: c.trojans, template: template,
+		t2Tile: c.t2Tile, a2Victim: c.a2Victim, a2Tile: c.a2Tile,
+	}
+	out.sim = template.Fork()
 	out.rec = rec
 	if c.a2 != nil {
 		out.a2 = analog.NewA2(c.cfg.A2)
@@ -728,24 +759,66 @@ type Capture struct {
 	Sensor []float64 // on-chip spiral emf (volts)
 	Probe  []float64 // external probe emf (volts)
 	Dt     float64
-	// Tiles holds the per-tile supply-current waveforms behind the emf
-	// synthesis, indexed [tile][sample]. The slices alias the
-	// recorder's buffers and are only valid until the next capture on
-	// the same chip; consumers (like the ring-oscillator baseline)
-	// must read them immediately or copy.
-	Tiles [][]float64
 
 	// seq is a process-unique identity for result caching: equal seq
-	// means the same capture result (replays of a memoized or cached
-	// capture return the same *Capture and hence the same seq). Zero on
-	// captures predating the counter (zero-value Captures in tests).
+	// means the same capture result (a replay shares the Seq of the
+	// simulation it replays). Zero on hand-built captures.
 	seq uint64
+
+	// Per-tile currents on demand (see Tiles). win is the capture-cache
+	// entry whose pre-state and stimulus reproduce the window (nil for
+	// batch and hand-built captures); rec and gen link a capture fresh
+	// from simulation to the recorder that held its window; tiles keeps
+	// a re-simulation on a capture that is not resident.
+	win   *captureEntry
+	rec   *power.Recorder
+	gen   uint64
+	mu    sync.Mutex
+	tiles [][]float64
 }
 
 // Seq returns the capture's process-unique identity; downstream caches
 // (like the sensor array's EMF synthesis cache) key on it instead of
 // the pointer, which could be reused after garbage collection.
 func (cap *Capture) Seq() uint64 { return cap.seq }
+
+// resident reports whether cap is its cache entry's own capture, the one
+// every replay of the entry returns.
+func (cap *Capture) resident() bool { return cap.win != nil && cap.win.cap == cap }
+
+// Tiles returns the per-tile supply-current waveforms behind the emf
+// synthesis, indexed [tile][sample], or nil for a batch capture, which
+// has no scalar window to reproduce. Nothing stores them ahead of time.
+// A capture fresh from simulation returns its chip's recorder buffers,
+// without a copy, while that recorder still holds the window. Otherwise
+// the window is re-simulated from its pre-state on a private simulator
+// of the same build: once per capture for a chip's own captures (fresh
+// simulations, fixed-point memo replays), which keep the result, and on
+// every call for the cache-resident captures that replays of a moving
+// orbit share across chips, which keep nothing (so the capture cache
+// never holds per-tile waveforms; read them once per capture).
+//
+// The slices are read-only. Recorder-backed slices are overwritten when
+// the simulating chip simulates its next window: read them before
+// capturing on that chip again, and do not call Tiles concurrently with
+// a capture on it. Resident captures have no such restriction.
+func (cap *Capture) Tiles() [][]float64 {
+	if cap.win == nil {
+		return nil
+	}
+	if cap.resident() {
+		return cap.win.tiles()
+	}
+	cap.mu.Lock()
+	defer cap.mu.Unlock()
+	if cap.rec != nil && cap.rec.Generation() == cap.gen {
+		return cap.rec.Currents()
+	}
+	if cap.tiles == nil {
+		cap.tiles = cap.win.tiles()
+	}
+	return cap.tiles
+}
 
 // Channels bundles the two acquisition channels of an experiment. The
 // fields are interfaces so a degradation wrapper (internal/degrade) can

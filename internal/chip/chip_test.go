@@ -534,7 +534,7 @@ func TestCompiledMatchesReferenceCaptures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	compare := func(step string, a, b *Capture) {
+	compare := func(step string, a *Capture, aTiles [][]float64, b *Capture) {
 		t.Helper()
 		if len(a.Sensor) != len(b.Sensor) {
 			t.Fatalf("%s: capture lengths differ", step)
@@ -547,9 +547,10 @@ func TestCompiledMatchesReferenceCaptures(t *testing.T) {
 				t.Fatalf("%s: probe sample %d: compiled %v != reference %v", step, i, a.Probe[i], b.Probe[i])
 			}
 		}
-		for tile := range a.Tiles {
-			for i := range a.Tiles[tile] {
-				if a.Tiles[tile][i] != b.Tiles[tile][i] {
+		bTiles := b.Tiles()
+		for tile := range aTiles {
+			for i := range aTiles[tile] {
+				if aTiles[tile][i] != bTiles[tile][i] {
 					t.Fatalf("%s: tile %d sample %d differs", step, tile, i)
 				}
 			}
@@ -566,16 +567,16 @@ func TestCompiledMatchesReferenceCaptures(t *testing.T) {
 		snap := &Capture{
 			Sensor: append([]float64(nil), ca.Sensor...),
 			Probe:  append([]float64(nil), ca.Probe...),
-			Tiles:  make([][]float64, len(ca.Tiles)),
 		}
-		for i, w := range ca.Tiles {
-			snap.Tiles[i] = append([]float64(nil), w...)
+		snapTiles := make([][]float64, len(ca.Tiles()))
+		for i, w := range ca.Tiles() {
+			snapTiles[i] = append([]float64(nil), w...)
 		}
 		cb, err := f(reference)
 		if err != nil {
 			t.Fatalf("%s (reference): %v", step, err)
 		}
-		compare(step, snap, cb)
+		compare(step, snap, snapTiles, cb)
 	}
 
 	pt := make([]byte, 16)

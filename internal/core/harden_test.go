@@ -268,6 +268,60 @@ func TestMonitorRejectsUnhealthyTraces(t *testing.T) {
 	}
 }
 
+// TestNonFiniteSampleRejected: one NaN in a 1024-sample record is an
+// acquisition fault. The gate rejects it (and ±Inf) as "nonfinite"
+// before computing any statistic, and a hardened monitor turns it into
+// a rejected verdict, never an alarm — unguarded, the fingerprint
+// reads that record at distance +Inf.
+func TestNonFiniteSampleRejected(t *testing.T) {
+	const n = 1024
+	rng := rand.New(rand.NewSource(34))
+	golden := goldenSet(rng, 15, n)
+	fp, err := BuildFingerprint(golden, DefaultFingerprintConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := BuildChannelHealth(golden, DefaultHealthConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tr := synthTrace(rng, n, 0)
+		tr.Samples[n/3] = bad
+		v := h.Check(tr)
+		if !v.Rejected || v.Reason != "nonfinite" {
+			t.Fatalf("sample %v: verdict %+v, want rejected as nonfinite", bad, v)
+		}
+		if v.RMS != 0 || v.Clipped != 0 || v.Spikes != 0 {
+			t.Fatalf("sample %v: statistics computed before the finiteness check: %+v", bad, v)
+		}
+	}
+
+	m, err := NewMonitorWith(fp, nil, HardenedOptions(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	glitch := synthTrace(rng, n, 0)
+	glitch.Samples[517] = math.NaN()
+	go func() {
+		m.Submit(glitch)
+		m.Close()
+	}()
+	var vs []Verdict
+	for v := range m.Verdicts() {
+		vs = append(vs, v)
+	}
+	if len(vs) != 1 {
+		t.Fatalf("got %d verdicts", len(vs))
+	}
+	switch v := vs[0]; {
+	case !v.Health.Rejected || v.Health.Reason != "nonfinite":
+		t.Fatalf("NaN record verdict health %+v, want rejected as nonfinite", v.Health)
+	case v.Alarm(), v.Confirmed():
+		t.Fatal("a NaN record raised the Trojan alarm")
+	}
+}
+
 func TestAcquireHealthyBoundedRetries(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	golden := goldenSet(rng, 10, 512)

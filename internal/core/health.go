@@ -123,17 +123,27 @@ type HealthVerdict struct {
 	Spikes float64
 	// RMS is the record's root-mean-square amplitude.
 	RMS float64
-	// Reason names the failed check ("flatline", "clipping", "burst",
-	// "rms"), empty when accepted.
+	// Reason names the failed check ("nonfinite", "flatline",
+	// "clipping", "burst", "rms"), empty when accepted.
 	Reason string
 }
 
-// Check runs the pre-check on one trace.
+// Check runs the pre-check on one trace. A record holding any
+// non-finite sample (NaN, ±Inf — an ADC or readout glitch) is rejected
+// before any statistic is computed: one NaN would otherwise slip past
+// every comparison below and reach the detectors as an infinite
+// distance.
 func (h *ChannelHealth) Check(t *trace.Trace) HealthVerdict {
 	v := HealthVerdict{}
 	if len(t.Samples) == 0 {
 		v.Rejected, v.Flatline, v.Reason = true, true, "flatline"
 		return v
+	}
+	for _, s := range t.Samples {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			v.Rejected, v.Reason = true, "nonfinite"
+			return v
+		}
 	}
 	v.RMS = dsp.RMS(t.Samples)
 	lo, hi := minMax(t.Samples)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"emtrust/internal/baseline"
 	"emtrust/internal/chip"
@@ -61,11 +62,12 @@ func Coverage(cfg Config) (*CoverageResult, error) {
 	nIdle := ronTrials + 4
 	goldenRON := make([][]float64, nIdle)
 	goldenIdleEM := make([]*trace.Trace, nIdle)
+	tiles := onceTiles()
 	err = replicate(c, nIdle,
 		func(w *chip.Chip) (*chip.Capture, error) { return w.CaptureIdle(ronWindow) },
 		func(i int, cap *chip.Capture, rng *rand.Rand) error {
 			// Draw order per trace: RON jitter first, then EM noise.
-			goldenRON[i] = ron.Measure(cap.Tiles, cap.Dt, rng)
+			goldenRON[i] = ron.Measure(tiles(cap), cap.Dt, rng)
 			goldenIdleEM[i], _ = ch.Acquire(cap, rng)
 			return nil
 		})
@@ -105,10 +107,11 @@ func Coverage(cfg Config) (*CoverageResult, error) {
 		emSpectralHits := 0
 		ronAlarm := make([]bool, ronTrials)
 		spectralAlarm := make([]bool, ronTrials)
+		tiles = onceTiles()
 		err = replicate(c, ronTrials,
 			func(w *chip.Chip) (*chip.Capture, error) { return w.CaptureIdle(ronWindow) },
 			func(i int, cap *chip.Capture, rng *rand.Rand) error {
-				_, ronAlarm[i] = ronDet.Evaluate(ron.Measure(cap.Tiles, cap.Dt, rng))
+				_, ronAlarm[i] = ronDet.Evaluate(ron.Measure(tiles(cap), cap.Dt, rng))
 				s, _ := ch.Acquire(cap, rng)
 				spectralAlarm[i] = sd.Evaluate(s).Alarm
 				return nil
@@ -172,10 +175,11 @@ func coverageA2(cfg Config) (CoverageRow, error) {
 	if err != nil {
 		return CoverageRow{}, err
 	}
+	tiles := onceTiles()
 	err = replicate(c, n,
 		func(w *chip.Chip) (*chip.Capture, error) { return w.CaptureIdle(cycles) },
 		func(i int, cap *chip.Capture, rng *rand.Rand) error {
-			goldenRON[i] = ron2.Measure(cap.Tiles, cap.Dt, rng)
+			goldenRON[i] = ron2.Measure(tiles(cap), cap.Dt, rng)
 			goldenEM[i], _ = ch.Acquire(cap, rng)
 			return nil
 		})
@@ -201,10 +205,11 @@ func coverageA2(cfg Config) (CoverageRow, error) {
 	}
 	ronAlarm := make([]bool, trials)
 	emAlarm := make([]bool, trials)
+	tiles = onceTiles()
 	err = replicate(c, trials,
 		func(w *chip.Chip) (*chip.Capture, error) { return w.CaptureIdle(cycles) },
 		func(i int, cap *chip.Capture, rng *rand.Rand) error {
-			_, ronAlarm[i] = ronDet2.Evaluate(ron2.Measure(cap.Tiles, cap.Dt, rng))
+			_, ronAlarm[i] = ronDet2.Evaluate(ron2.Measure(tiles(cap), cap.Dt, rng))
 			s, _ := ch.Acquire(cap, rng)
 			emAlarm[i] = sd.Evaluate(s).Alarm
 			return nil
@@ -238,4 +243,15 @@ func (r *CoverageResult) String() string {
 	}
 	fmt.Fprintf(&sb, "(the paper's critique of RO/TDC structures: low coverage rates)\n")
 	return sb.String()
+}
+
+// onceTiles resolves a capture's per-tile currents once for a replicate
+// body, which sees the same capture at every index in parallel.
+func onceTiles() func(*chip.Capture) [][]float64 {
+	var once sync.Once
+	var tiles [][]float64
+	return func(cap *chip.Capture) [][]float64 {
+		once.Do(func() { tiles = cap.Tiles() })
+		return tiles
+	}
 }

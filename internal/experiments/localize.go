@@ -64,8 +64,9 @@ func Localize(cfg Config) (*LocalizeResult, error) {
 			return [4]float64{}, err
 		}
 		var out [4]float64
+		tiles := cap.Tiles()
 		for q, cp := range couplings {
-			emfBuf = cp.EMFInto(emfBuf, cap.Tiles, cap.Dt)
+			emfBuf = cp.EMFInto(emfBuf, tiles, cap.Dt)
 			out[q] = dsp.RMS(emfBuf)
 		}
 		return out, nil

@@ -53,10 +53,11 @@ func newPopulation(cfg Config) (*Population, error) {
 			return nil, err
 		}
 		p.dt = cap.Dt
-		// Tiles alias the recorder's reusable buffers; copy before the
-		// next capture overwrites them.
-		tiles := make([][]float64, len(cap.Tiles))
-		for i, w := range cap.Tiles {
+		// The population keeps tiles across captures, and a fresh
+		// capture's Tiles alias the recorder's reusable buffers: copy.
+		src := cap.Tiles()
+		tiles := make([][]float64, len(src))
+		for i, w := range src {
 			tiles[i] = append([]float64(nil), w...)
 		}
 		return tiles, nil

@@ -87,6 +87,7 @@ type Recorder struct {
 	currents    [][]float64 // per-tile waveform
 	cycle       int
 	numCycles   int
+	gen         uint64 // windows begun (Generation)
 }
 
 type subEvent struct {
@@ -182,11 +183,12 @@ func pulseShape(cfg Config) []float64 {
 	return shape
 }
 
-// Begin starts a capture of numCycles clock cycles. Waveform buffers are
-// reused across captures when the dimensions still fit, which is why
-// Capture.Tiles documents its slices as valid only until the next
-// capture on the same chip.
+// Begin starts a capture of numCycles clock cycles and advances the
+// Generation. Waveform buffers are reused across captures when the
+// dimensions still fit, so a window's Currents are only valid until the
+// next Begin.
 func (r *Recorder) Begin(numCycles int) {
+	r.gen++
 	r.numCycles = numCycles
 	r.cycle = 0
 	total := numCycles * r.cfg.SamplesPerCycle
@@ -290,6 +292,11 @@ func (r *Recorder) deposit(tile, start int, q float64) {
 		w[i] += q * p
 	}
 }
+
+// Generation counts the windows Begin has started. A consumer holding
+// the Currents of window g can tell whether the buffers still hold that
+// window: they do while Generation() == g.
+func (r *Recorder) Generation() uint64 { return r.gen }
 
 // Currents returns the per-tile waveforms captured so far.
 func (r *Recorder) Currents() [][]float64 { return r.currents }

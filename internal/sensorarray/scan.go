@@ -77,8 +77,8 @@ type CaptureFunc func(w int) (*chip.Capture, error)
 // worker pool — per-coil emf synthesis plus acquisition with a private
 // (stream, cell)-derived generator. Each task writes only its own cell
 // index, so the frame is bit-identical for any worker count. The emf
-// synthesis completes before the next window's capture because
-// Capture.Tiles alias the recorder's buffers.
+// synthesis completes before the next window's capture because a fresh
+// capture's Tiles alias the recorder's buffers.
 func (a *Array) ScanFrame(c *chip.Chip, ch trace.Channel, capture CaptureFunc) (*Frame, error) {
 	k := a.NumCoils()
 	stream := c.NextStream()
@@ -149,9 +149,13 @@ func (a *Array) windowEMFs(cap *chip.Capture, coils []int) ([][]float64, error) 
 			missing = append(missing, i)
 		}
 	}
+	var tiles [][]float64
+	if len(missing) > 0 {
+		tiles = cap.Tiles()
+	}
 	err := parallel.For(len(missing), func(j int) error {
 		i := missing[j]
-		emfs[i] = a.Couplings[coils[i]].EMF(cap.Tiles, cap.Dt)
+		emfs[i] = a.Couplings[coils[i]].EMF(tiles, cap.Dt)
 		return nil
 	})
 	if err != nil {
