@@ -26,6 +26,13 @@ fi
 echo "== engine differential (wide vs compiled vs reference) =="
 go test -run 'Differential|CompiledVsReference|Wide' -count=1 ./internal/logic/...
 
+echo "== zero-allocation gates and bulk-draw kernel differentials (no -race) =="
+# The allocation gates skip under -race, whose instrumentation
+# allocates, so they run here without it, together with the block-draw
+# kernels' differential tests against their per-draw forms.
+go test -count=1 -run 'Allocs|ZeroAlloc' ./internal/fleet ./internal/emfield ./internal/core
+go test -count=1 -run 'Bulk|FillNorm|SkipAtLeast|SkipThreshold|PerDrawForm|AccumulateDraw' ./internal/frand ./internal/trace ./internal/degrade ./internal/fleet
+
 echo "== capture replay, cold then warm process-wide cache =="
 # The second pass of each test runs against the capture cache the first
 # pass filled; replayed orbits must still match simulation bit for bit.

@@ -15,6 +15,7 @@ import (
 	"emtrust/internal/aes"
 	"emtrust/internal/analog"
 	"emtrust/internal/emfield"
+	"emtrust/internal/frand"
 	"emtrust/internal/layout"
 	"emtrust/internal/logic"
 	"emtrust/internal/netlist"
@@ -373,9 +374,12 @@ func (c *Chip) SubSeed(stream, index uint64) int64 {
 // SplitRand returns a private generator for one trace, seeded by
 // SubSeed. Use one stream id per capture set (NextStream) and the trace
 // index within the set, so results do not depend on capture order or
-// worker count.
-func (c *Chip) SplitRand(stream, index uint64) *rand.Rand {
-	return rand.New(rand.NewSource(c.SubSeed(stream, index)))
+// worker count. The generator is frand's replica of math/rand: the
+// same streams as rand.New(rand.NewSource(c.SubSeed(stream, index))),
+// without math/rand's serial seeding chain, and with the block kernels
+// the acquisition stages draw through (trace.Bulk).
+func (c *Chip) SplitRand(stream, index uint64) *frand.Rand {
+	return frand.NewRand(c.SubSeed(stream, index))
 }
 
 // NextStream reserves the next seed-stream id. The counter is shared
@@ -863,7 +867,7 @@ func (c *Chip) Acquire(cap *Capture, ch Channels) (sensor, probe *trace.Trace) {
 // Acquire converts a clean capture into measured traces on both channels
 // using the given generator (sensor noise first, then probe noise — the
 // draw order is part of the reproducibility contract).
-func (ch Channels) Acquire(cap *Capture, rng *rand.Rand) (sensor, probe *trace.Trace) {
+func (ch Channels) Acquire(cap *Capture, rng trace.Rand) (sensor, probe *trace.Trace) {
 	sensor = ch.Sensor.Acquire(cap.Sensor, cap.Dt, rng)
 	probe = ch.Probe.Acquire(cap.Probe, cap.Dt, rng)
 	return sensor, probe

@@ -13,6 +13,8 @@
 // generator handed to Acquire (the experiments derive it from
 // chip.SplitRand), and drift-like stages depend only on the explicit
 // trace index, so a degraded stream is bit-identical for a given seed.
+// The per-sample stages draw through trace.Bulk, in blocks that consume
+// the stream exactly like their one-draw-per-sample definitions.
 package degrade
 
 import (
@@ -132,9 +134,9 @@ func (c *Channel) AcquireAt(index int, clean []float64, dt float64, rng trace.Ra
 // the channel's internal scratch lent to the stages. Bit-identical to
 // scaling the waveform yourself and calling AcquireAt, but with zero
 // steady-state allocations when the inner channel implements
-// trace.ScaledAcquirer. NOT safe for concurrent use on one Channel —
-// the scratch buffers are channel-owned; concurrent acquirers must
-// keep using AcquireAt.
+// trace.ScaledAcquirer. clean must not share memory with dst.Samples.
+// NOT safe for concurrent use on one Channel — the scratch buffers are
+// channel-owned; concurrent acquirers must keep using AcquireAt.
 func (c *Channel) AcquireAtInto(index int, dst *trace.Trace, clean []float64, scale, dt float64, rng trace.Rand) *trace.Trace {
 	if sa, ok := c.Inner.(trace.ScaledAcquirer); ok {
 		dst = sa.AcquireScaledInto(dst, clean, scale, dt, rng)
@@ -167,7 +169,7 @@ type Clip struct {
 func (c Clip) Name() string { return "clip" }
 
 func (c Clip) Apply(s []float64, _ Env) {
-	if c.Rail <= 0 {
+	if !(c.Rail > 0) {
 		return
 	}
 	for i, v := range s {
@@ -188,14 +190,28 @@ type Dropout struct {
 func (d Dropout) Name() string { return "dropout" }
 
 func (d Dropout) Apply(s []float64, env Env) {
-	if d.Rate <= 0 {
+	if !(d.Rate > 0) {
 		return
 	}
-	for i := range s {
-		if env.Rng.Float64() < d.Rate {
-			s[i] = 0
+	// One Float64 draw per sample, scanned in blocks up to the next
+	// drop.
+	rng := trace.Bulk(env.Rng)
+	for i := 0; ; i++ {
+		i += rng.SkipAtLeast(d.Rate, len(s)-i)
+		if i >= len(s) {
+			return
 		}
+		s[i] = 0
 	}
+}
+
+// maxMeanRun caps a run-length mean so 2*mean-1 cannot overflow.
+const maxMeanRun = math.MaxInt / 2
+
+// runSpan returns the bound n of a run length 1 + Intn(n) with mean
+// MeanRun (clamped to [1, maxMeanRun]).
+func runSpan(meanRun int) int {
+	return 2*min(max(meanRun, 1), maxMeanRun) - 1
 }
 
 // Stuck starts, with probability Rate per sample, a run in which the
@@ -209,18 +225,19 @@ type Stuck struct {
 func (g Stuck) Name() string { return "stuck" }
 
 func (g Stuck) Apply(s []float64, env Env) {
-	if g.Rate <= 0 || len(s) < 2 {
+	if !(g.Rate > 0) || len(s) < 2 {
 		return
 	}
-	mean := g.MeanRun
-	if mean < 1 {
-		mean = 1
-	}
+	span := runSpan(g.MeanRun)
+	rng := trace.Bulk(env.Rng)
+	// One Float64 draw per sample outside a run; the sample right
+	// after a run draws nothing.
 	for i := 1; i < len(s); i++ {
-		if env.Rng.Float64() >= g.Rate {
-			continue
+		i += rng.SkipAtLeast(g.Rate, len(s)-i)
+		if i >= len(s) {
+			return
 		}
-		run := 1 + env.Rng.Intn(2*mean-1)
+		run := 1 + rng.Intn(span)
 		hold := s[i-1]
 		for j := 0; j < run && i < len(s); j, i = j+1, i+1 {
 			s[i] = hold
@@ -240,20 +257,21 @@ type Burst struct {
 func (b Burst) Name() string { return "burst" }
 
 func (b Burst) Apply(s []float64, env Env) {
-	if b.Rate <= 0 || b.RMS <= 0 {
+	if !(b.Rate > 0) || !(b.RMS > 0) {
 		return
 	}
-	mean := b.MeanRun
-	if mean < 1 {
-		mean = 1
-	}
+	span := runSpan(b.MeanRun)
+	rng := trace.Bulk(env.Rng)
+	// As Stuck: one Float64 per sample outside a burst, none for the
+	// sample right after one.
 	for i := 0; i < len(s); i++ {
-		if env.Rng.Float64() >= b.Rate {
-			continue
+		i += rng.SkipAtLeast(b.Rate, len(s)-i)
+		if i >= len(s) {
+			return
 		}
-		run := 1 + env.Rng.Intn(2*mean-1)
+		run := 1 + rng.Intn(span)
 		for j := 0; j < run && i < len(s); j, i = j+1, i+1 {
-			s[i] += env.Rng.NormFloat64() * b.RMS
+			s[i] += rng.NormFloat64() * b.RMS
 		}
 	}
 }
@@ -282,7 +300,7 @@ func (d Drift) Apply(s []float64, env Env) {
 
 // Jitter resamples the record with Gaussian sample-clock jitter of
 // RMSFraction sample periods, by linear interpolation between the
-// neighbouring true samples.
+// neighbouring true samples. A NaN or non-positive fraction is a no-op.
 type Jitter struct {
 	RMSFraction float64
 }
@@ -290,25 +308,32 @@ type Jitter struct {
 func (j Jitter) Name() string { return "jitter" }
 
 func (j Jitter) Apply(s []float64, env Env) {
-	if j.RMSFraction <= 0 || len(s) < 2 {
+	if !(j.RMSFraction > 0) || len(s) < 2 {
 		return
 	}
 	orig := env.scratchBuf(len(s))
 	copy(orig, s)
-	max := float64(len(s) - 1)
-	for i := range s {
-		pos := float64(i) + env.Rng.NormFloat64()*j.RMSFraction
-		if pos < 0 {
+	// The record is about to be overwritten sample by sample, so it
+	// holds the clock-jitter normals in the meantime: sample i reads
+	// its own draw before writing its interpolated value.
+	trace.Bulk(env.Rng).FillNorm(s)
+	last := len(s) - 1
+	end := float64(last)
+	for i, n := range s {
+		pos := float64(i) + n*j.RMSFraction
+		// !(pos >= 0) also catches the NaN of an infinite fraction
+		// times a zero draw.
+		if !(pos >= 0) {
 			pos = 0
-		} else if pos > max {
-			pos = max
+		} else if pos > end {
+			pos = end
 		}
 		lo := int(pos)
-		frac := pos - float64(lo)
-		if lo >= len(s)-1 {
-			s[i] = orig[len(s)-1]
+		if lo >= last {
+			s[i] = orig[last]
 			continue
 		}
+		frac := pos - float64(lo)
 		s[i] = orig[lo]*(1-frac) + orig[lo+1]*frac
 	}
 }

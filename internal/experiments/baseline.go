@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 
 	"emtrust/internal/baseline"
 	"emtrust/internal/chip"
 	"emtrust/internal/core"
+	"emtrust/internal/frand"
 	"emtrust/internal/trace"
 	"emtrust/internal/trojan"
 )
@@ -65,7 +65,7 @@ func Coverage(cfg Config) (*CoverageResult, error) {
 	tiles := onceTiles()
 	err = replicate(c, nIdle,
 		func(w *chip.Chip) (*chip.Capture, error) { return w.CaptureIdle(ronWindow) },
-		func(i int, cap *chip.Capture, rng *rand.Rand) error {
+		func(i int, cap *chip.Capture, rng *frand.Rand) error {
 			// Draw order per trace: RON jitter first, then EM noise.
 			goldenRON[i] = ron.Measure(tiles(cap), cap.Dt, rng)
 			goldenIdleEM[i], _ = ch.Acquire(cap, rng)
@@ -110,7 +110,7 @@ func Coverage(cfg Config) (*CoverageResult, error) {
 		tiles = onceTiles()
 		err = replicate(c, ronTrials,
 			func(w *chip.Chip) (*chip.Capture, error) { return w.CaptureIdle(ronWindow) },
-			func(i int, cap *chip.Capture, rng *rand.Rand) error {
+			func(i int, cap *chip.Capture, rng *frand.Rand) error {
 				_, ronAlarm[i] = ronDet.Evaluate(ron.Measure(tiles(cap), cap.Dt, rng))
 				s, _ := ch.Acquire(cap, rng)
 				spectralAlarm[i] = sd.Evaluate(s).Alarm
@@ -178,7 +178,7 @@ func coverageA2(cfg Config) (CoverageRow, error) {
 	tiles := onceTiles()
 	err = replicate(c, n,
 		func(w *chip.Chip) (*chip.Capture, error) { return w.CaptureIdle(cycles) },
-		func(i int, cap *chip.Capture, rng *rand.Rand) error {
+		func(i int, cap *chip.Capture, rng *frand.Rand) error {
 			goldenRON[i] = ron2.Measure(tiles(cap), cap.Dt, rng)
 			goldenEM[i], _ = ch.Acquire(cap, rng)
 			return nil
@@ -208,7 +208,7 @@ func coverageA2(cfg Config) (CoverageRow, error) {
 	tiles = onceTiles()
 	err = replicate(c, trials,
 		func(w *chip.Chip) (*chip.Capture, error) { return w.CaptureIdle(cycles) },
-		func(i int, cap *chip.Capture, rng *rand.Rand) error {
+		func(i int, cap *chip.Capture, rng *frand.Rand) error {
 			_, ronAlarm[i] = ronDet2.Evaluate(ron2.Measure(tiles(cap), cap.Dt, rng))
 			s, _ := ch.Acquire(cap, rng)
 			emAlarm[i] = sd.Evaluate(s).Alarm

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"emtrust/internal/chip"
+	"emtrust/internal/frand"
 	"emtrust/internal/parallel"
 	"emtrust/internal/trace"
 	"emtrust/internal/trojan"
@@ -50,7 +50,7 @@ type dualSet struct {
 // converged to after its first iteration, so sets fitted and tested
 // against each other carry no capture-order offset. The chip advances by
 // exactly two captures regardless of n or worker count.
-func replicate(c *chip.Chip, n int, capture func(*chip.Chip) (*chip.Capture, error), each func(i int, cap *chip.Capture, rng *rand.Rand) error) error {
+func replicate(c *chip.Chip, n int, capture func(*chip.Chip) (*chip.Capture, error), each func(i int, cap *chip.Capture, rng *frand.Rand) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -70,7 +70,7 @@ func replicate(c *chip.Chip, n int, capture func(*chip.Chip) (*chip.Capture, err
 // acquireSet acquires n dual-channel traces in parallel — trace i from
 // the capture and generator that pick(i) returns — and collects them in
 // index order, so the set is identical at any worker count.
-func acquireSet(ch chip.Channels, n int, pick func(i int) (*chip.Capture, *rand.Rand)) (*dualSet, error) {
+func acquireSet(ch chip.Channels, n int, pick func(i int) (*chip.Capture, *frand.Rand)) (*dualSet, error) {
 	sensors := make([]*trace.Trace, n)
 	probes := make([]*trace.Trace, n)
 	err := parallel.For(n, func(i int) error {
@@ -123,7 +123,7 @@ func captureSet(c *chip.Chip, cfg Config, ch chip.Channels, n, cycles int) (*dua
 		return nil, err
 	}
 	caps := chain[1:] // chain[0] is the warm-up, discarded
-	return acquireSet(ch, n, func(i int) (*chip.Capture, *rand.Rand) {
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *frand.Rand) {
 		return caps[i%k], c.SplitRand(stream, uint64(i))
 	})
 }
@@ -144,7 +144,7 @@ func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, n, cycles int)
 	stream := c.NextStream()
 	base := c.Snapshot()
 	defer c.Restore(base)
-	rngs := make([]*rand.Rand, n)
+	rngs := make([]*frand.Rand, n)
 	pts := make([][]byte, n)
 	snaps := make([]*chip.Snapshot, n)
 	for i := range rngs {
@@ -180,7 +180,7 @@ func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, n, cycles int)
 	if err != nil {
 		return nil, err
 	}
-	return acquireSet(ch, n, func(i int) (*chip.Capture, *rand.Rand) {
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *frand.Rand) {
 		return caps[i], rngs[i]
 	})
 }
@@ -202,7 +202,7 @@ func idleTraces(c *chip.Chip, ch chip.Channels, n, cycles int) (*dualSet, error)
 		return nil, err
 	}
 	cap := chain[1] // chain[0] is the warm-up, discarded
-	return acquireSet(ch, n, func(i int) (*chip.Capture, *rand.Rand) {
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *frand.Rand) {
 		return cap, c.SplitRand(stream, uint64(i))
 	})
 }

@@ -230,7 +230,8 @@ func (p *Population) spawn(id int) (*Die, error) {
 	}
 	// The die-owned generator is reseeded per acquisition draw, so it
 	// is the concrete math/rand replica — same value streams, jumpable
-	// seed chain, and no interface hops per sample (see internal/frand).
+	// seed chain, and block kernels the stages draw through trace.Bulk
+	// instead of one interface call per sample (see internal/frand).
 	d.rng = frand.NewRand(0)
 	d.acqAcc = &trace.Trace{Samples: make([]float64, 0, len(d.dormant))}
 	d.acqDraw = &trace.Trace{Samples: make([]float64, 0, len(d.dormant))}
@@ -684,16 +685,7 @@ func (d *Die) acquire(idx int, wave []float64, scale float64, purpose int, index
 	for k := uint64(1); k < m; k++ {
 		d.rng.Seed(dieSeed(cfg.Seed, d.ID, purpose, index*m+k))
 		r := d.channel.AcquireAtInto(idx, d.acqDraw, wave, scale, d.pop.dt, d.rng)
-		// One fused pass: sum for the mean, min/max for the trim.
-		for j, v := range r.Samples {
-			acc[j] += v
-			if v < lo[j] {
-				lo[j] = v
-			}
-			if v > hi[j] {
-				hi[j] = v
-			}
-		}
+		accumulateDraw(acc, lo, hi, r.Samples)
 	}
 	if trim {
 		inv := 1 / float64(m-2)
@@ -707,6 +699,25 @@ func (d *Die) acquire(idx int, wave []float64, scale float64, purpose int, index
 		}
 	}
 	return t
+}
+
+// accumulateDraw folds one raw draw into acquire's combine state in a
+// single pass: the sum for the mean, the per-sample min and max for
+// the trim. The builtin min and max compile to branch-free MINSD
+// sequences; the compare-and-branch form they replace mispredicted on
+// every new extreme of white noise. They differ from it only where the
+// trimmed mean cannot see it. On a tie between +0 and -0 they pick by
+// sign, not by order, but a zero lo or hi means the column's other
+// draws are all on one side of zero, and the trimmed sum comes out the
+// same with either zero subtracted. A NaN draw reaches lo/hi, where the
+// sum is NaN already.
+func accumulateDraw(acc, lo, hi, draw []float64) {
+	acc, lo, hi = acc[:len(draw)], lo[:len(draw)], hi[:len(draw)]
+	for j, v := range draw {
+		acc[j] += v
+		lo[j] = min(lo[j], v)
+		hi[j] = max(hi[j], v)
+	}
 }
 
 // tick runs one monitored round: synthesize the die's current state,

@@ -32,10 +32,10 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"emtrust/internal/chip"
+	"emtrust/internal/frand"
 	"emtrust/internal/trojan"
 )
 
@@ -303,9 +303,9 @@ func dieSeed(seed int64, die, purpose int, index uint64) int64 {
 }
 
 // dieRand returns the private generator for one (die, purpose, index)
-// draw site. Hot paths keep a per-die *rand.Rand and Seed it with
+// draw site. Hot paths keep a per-die generator and Seed it with
 // dieSeed instead — reseeding resets the source to the identical
 // stream without the ~5 KB generator allocation.
-func dieRand(seed int64, die, purpose int, index uint64) *rand.Rand {
-	return rand.New(rand.NewSource(dieSeed(seed, die, purpose, index)))
+func dieRand(seed int64, die, purpose int, index uint64) *frand.Rand {
+	return frand.NewRand(dieSeed(seed, die, purpose, index))
 }

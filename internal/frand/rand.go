@@ -13,6 +13,10 @@ import "math"
 // Not safe for concurrent use.
 type Rand struct {
 	src Source
+	// readVal/readPos carry Read's unused bytes of the last Int63
+	// across calls, as math/rand does.
+	readVal int64
+	readPos int8
 }
 
 // NewRand returns a generator seeded like rand.New(rand.NewSource(seed)).
@@ -23,7 +27,28 @@ func NewRand(seed int64) *Rand {
 }
 
 // Seed resets the generator to the deterministic state for seed.
-func (r *Rand) Seed(seed int64) { r.src.Seed(seed) }
+func (r *Rand) Seed(seed int64) {
+	r.src.Seed(seed)
+	r.readPos = 0
+}
+
+// Read fills p with random bytes, seven per Int63 draw, low byte first,
+// keeping the leftover bytes of a draw for the next call exactly like
+// math/rand's Read. It always returns len(p), nil.
+func (r *Rand) Read(p []byte) (n int, err error) {
+	pos, val := r.readPos, r.readVal
+	for n = 0; n < len(p); n++ {
+		if pos == 0 {
+			val = r.Int63()
+			pos = 7
+		}
+		p[n] = byte(val)
+		val >>= 8
+		pos--
+	}
+	r.readPos, r.readVal = pos, val
+	return n, nil
+}
 
 // Int63 returns a non-negative 63-bit integer.
 func (r *Rand) Int63() int64 { return int64(r.src.Uint64() & rngMask) }

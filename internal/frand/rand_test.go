@@ -1,6 +1,7 @@
 package frand
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestRandMatchesMathRand(t *testing.T) {
 		got := NewRand(seed)
 		want := rand.New(rand.NewSource(seed))
 		for i := 0; i < 4000; i++ {
-			switch i % 7 {
+			switch i % 8 {
 			case 0:
 				if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
 					t.Fatalf("seed %d draw %d: NormFloat64 %v != %v", seed, i, g, w)
@@ -43,6 +44,15 @@ func TestRandMatchesMathRand(t *testing.T) {
 				if g, w := got.Int63n(12345), want.Int63n(12345); g != w {
 					t.Fatalf("seed %d draw %d: Int63n %d != %d", seed, i, g, w)
 				}
+			case 7:
+				// Lengths not divisible by 7 leave bytes over for the
+				// next Read, across the other methods' draws.
+				g, w := make([]byte, i%19), make([]byte, i%19)
+				got.Read(g)
+				want.Read(w)
+				if !bytes.Equal(g, w) {
+					t.Fatalf("seed %d draw %d: Read %x != %x", seed, i, g, w)
+				}
 			}
 		}
 		// Reseed in place and confirm realignment.
@@ -52,6 +62,17 @@ func TestRandMatchesMathRand(t *testing.T) {
 			if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
 				t.Fatalf("seed %d post-reseed draw %d: %v != %v", seed, i, g, w)
 			}
+		}
+		// Seed drops Read's leftover bytes.
+		g, w := make([]byte, 3), make([]byte, 3)
+		got.Read(g)
+		want.Read(w)
+		got.Seed(seed)
+		want.Seed(seed)
+		got.Read(g)
+		want.Read(w)
+		if !bytes.Equal(g, w) {
+			t.Fatalf("seed %d: Read after reseed %x != %x", seed, g, w)
 		}
 	}
 }

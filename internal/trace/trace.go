@@ -14,15 +14,58 @@ import (
 
 // Rand is the slice of randomness the measurement chain consumes: one
 // uniform draw for the interference phase, one normal draw per sample
-// for environment noise, and the occasional bounded integer for fault
-// injection run lengths (internal/degrade). Both *math/rand.Rand and
-// the repo's concrete *frand.Rand satisfy it; the fleet hot path passes
-// the latter so every per-sample draw compiles to direct arithmetic
-// instead of two interface hops.
+// for environment noise, and the uniform and bounded-integer draws of
+// fault injection (internal/degrade). Both *math/rand.Rand and the
+// repo's concrete *frand.Rand satisfy it. Every draw through it is an
+// interface call; the per-sample loops go through Bulk instead, which
+// hands them a whole block per call.
 type Rand interface {
 	Float64() float64
 	NormFloat64() float64
 	Intn(n int) int
+}
+
+// BulkRand is a Rand that also draws in blocks. Each block method is
+// defined as a loop over the per-draw methods and must consume the
+// stream exactly like that loop does, so a stage written against
+// BulkRand reproduces its per-draw form bit for bit.
+type BulkRand interface {
+	Rand
+	// FillNorm sets dst[i] = NormFloat64() for i in order.
+	FillNorm(dst []float64)
+	// SkipAtLeast draws Float64 values until one is below p or n have
+	// been drawn, and returns how many came before the first one below
+	// p (n when none was). A NaN p never fires.
+	SkipAtLeast(p float64, n int) int
+}
+
+// Bulk returns r's block-drawing view: r itself when it implements
+// BulkRand (*frand.Rand does, walking its generator's ring a segment
+// at a time), otherwise an adapter that loops over r's per-draw
+// methods.
+func Bulk(r Rand) BulkRand {
+	if b, ok := r.(BulkRand); ok {
+		return b
+	}
+	return perDraw{r}
+}
+
+// perDraw implements BulkRand's block methods as their defining loops.
+type perDraw struct{ Rand }
+
+func (r perDraw) FillNorm(dst []float64) {
+	for i := range dst {
+		dst[i] = r.NormFloat64()
+	}
+}
+
+func (r perDraw) SkipAtLeast(p float64, n int) int {
+	for k := 0; k < n; k++ {
+		if r.Float64() < p {
+			return k
+		}
+	}
+	return n
 }
 
 // Trace is a sampled voltage record.
@@ -64,7 +107,8 @@ type Channel interface {
 // capacity suffices) and folds a caller-supplied amplitude scale into
 // the front-end gain, so a common-mode gain wobble costs no separate
 // copy pass. Acquire(clean, dt, rng) must equal
-// AcquireScaledInto(new, clean, 1, dt, rng) bit for bit.
+// AcquireScaledInto(new, clean, 1, dt, rng) bit for bit. clean must not
+// share memory with dst.Samples.
 type ScaledAcquirer interface {
 	AcquireScaledInto(dst *Trace, clean []float64, scale, dt float64, rng Rand) *Trace
 }
@@ -122,6 +166,8 @@ func (a Acquisition) Acquire(clean []float64, dt float64, rng Rand) *Trace {
 // exactly, so reseeded streams reproduce the allocating path bit for
 // bit. scale*gain is applied as (v*scale)*g, two rounded multiplies,
 // matching a caller that scaled the waveform itself before acquiring.
+// The noise block is drawn into dst's buffer before clean is read, so
+// clean must not share memory with dst.Samples.
 func (a Acquisition) AcquireScaledInto(dst *Trace, clean []float64, scale, dt float64, rng Rand) *Trace {
 	g := a.Gain
 	if g == 0 {
@@ -134,15 +180,22 @@ func (a Acquisition) AcquireScaledInto(dst *Trace, clean []float64, scale, dt fl
 		out = out[:len(clean)]
 	}
 	phase := rng.Float64() * 2 * math.Pi
-	for i, v := range clean {
-		s := (v * scale) * g
-		if a.NoiseRMS > 0 {
-			s += rng.NormFloat64() * a.NoiseRMS
+	if a.NoiseRMS > 0 {
+		// The noise is drawn in one block into out, then combined in
+		// the per-sample order: (v*scale)*g + n*NoiseRMS.
+		Bulk(rng).FillNorm(out)
+		for i, v := range clean {
+			out[i] = (v*scale)*g + out[i]*a.NoiseRMS
 		}
-		if a.InterferenceRMS > 0 {
-			s += a.InterferenceRMS * math.Sqrt2 * math.Sin(2*math.Pi*a.InterferenceHz*float64(i)*dt+phase)
+	} else {
+		for i, v := range clean {
+			out[i] = (v * scale) * g
 		}
-		out[i] = s
+	}
+	if a.InterferenceRMS > 0 {
+		for i := range out {
+			out[i] += a.InterferenceRMS * math.Sqrt2 * math.Sin(2*math.Pi*a.InterferenceHz*float64(i)*dt+phase)
+		}
 	}
 	if a.ADCBits > 0 && a.FullScale > 0 {
 		quantize(out, a.ADCBits, a.FullScale)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"emtrust/internal/dsp"
+	"emtrust/internal/frand"
 )
 
 func TestTraceBasics(t *testing.T) {
@@ -131,5 +132,38 @@ func TestSetMatrix(t *testing.T) {
 	}
 	if rows[0][0] != 1 || rows[1][1] != 5 {
 		t.Fatal("matrix values wrong")
+	}
+}
+
+// TestBulkView checks trace.Bulk: a generator with block methods
+// (*frand.Rand) comes back as itself, and any other Rand gets the
+// per-draw adapter, whose blocks match frand's kernels on the same
+// seed draw for draw.
+func TestBulkView(t *testing.T) {
+	fr := frand.NewRand(11)
+	if b, ok := Bulk(fr).(*frand.Rand); !ok || b != fr {
+		t.Fatalf("Bulk(*frand.Rand) = %T, want the generator itself", Bulk(fr))
+	}
+	ad := Bulk(rand.New(rand.NewSource(11)))
+	if _, ok := ad.(perDraw); !ok {
+		t.Fatalf("Bulk(*rand.Rand) = %T, want the per-draw adapter", ad)
+	}
+	for round := 0; round < 20; round++ {
+		g, w := make([]float64, 300), make([]float64, 300)
+		fr.FillNorm(g)
+		ad.FillNorm(w)
+		for i := range g {
+			if g[i] != w[i] {
+				t.Fatalf("round %d: FillNorm sample %d %v != adapter %v", round, i, g[i], w[i])
+			}
+		}
+		for _, p := range []float64{math.NaN(), 0, 0.003, 0.5, 1} {
+			if g, w := fr.SkipAtLeast(p, 700), ad.SkipAtLeast(p, 700); g != w {
+				t.Fatalf("round %d p %v: SkipAtLeast %d != adapter %d", round, p, g, w)
+			}
+		}
+		if g, w := fr.Intn(1000), ad.Intn(1000); g != w {
+			t.Fatalf("round %d: streams diverged after the blocks (%d != %d)", round, g, w)
+		}
 	}
 }
